@@ -1,11 +1,20 @@
 """Micro-batching scheduler: coalesce readout requests into engine batches.
 
-Requests accumulate into a *forming* batch; a batch seals as soon as it
-holds ``max_batch_traces`` traces or the oldest request has waited
-``max_wait_ms``. Requests are never split across batches, so per-request
-futures resolve from exactly one engine pass. Backpressure on a full queue
-follows the configured overload policy: *reject* refuses the new request,
-*shed* fails the oldest queued one (freshest-first service under overload).
+Requests accumulate into a *forming* batch. Sealing is work-conserving:
+while no gathered batch is in flight, :meth:`MicroBatcher.gather` seals
+the forming batch at once, so a lone request on an idle server never
+waits for company. While a batch is in flight, the forming batch keeps
+filling until that batch completes, it holds ``max_batch_traces`` traces,
+or its oldest request has waited ``max_wait_ms`` — a ceiling on the wait,
+not a wait every request pays. Batch size therefore follows load: one
+request when idle, up to ``max_batch_traces`` under saturation. The owner
+of each gathered batch gives its in-flight slot back with
+:meth:`FlushedBatch.release_in_flight` when the batch is over.
+
+Requests are never split across batches, so per-request futures resolve
+from exactly one engine pass. Backpressure on a full queue follows the
+configured overload policy: *reject* refuses the new request, *shed*
+fails the oldest queued one (freshest-first service under overload).
 
 This is the zero-copy half of the serve hot path: each request's traces
 are copied **once**, at :meth:`MicroBatcher.offer` time, straight into a
@@ -90,7 +99,8 @@ class FlushedBatch:
     None``), or an exact-size array on the fallback/oversized path. The
     owner must call :meth:`release_slab` exactly once when no shard can
     still read ``demod`` (release is advisory; see
-    :class:`~.slab.SlabPool`). ``sealed_at`` timestamps the seal for
+    :class:`~.slab.SlabPool`), and :meth:`release_in_flight` once the
+    batch is over, however it ended. ``sealed_at`` timestamps the seal for
     dispatch-lag accounting.
     """
 
@@ -100,11 +110,26 @@ class FlushedBatch:
     sealed_at: float
     slab: Optional[np.ndarray] = None
     pool: Optional[SlabPool] = None
+    batcher: Optional["MicroBatcher"] = None
 
     def release_slab(self) -> None:
         slab, self.slab = self.slab, None
         if slab is not None and self.pool is not None:
             self.pool.release(slab)
+
+    def release_in_flight(self) -> None:
+        """Give back this batch's in-flight slot in the batcher.
+
+        Call when no shard will compute the batch any further: its last
+        shard reported, it was dropped, or it was failed before any shard
+        took it. Until every gathered batch is released, the batcher keeps
+        the next batch forming (see :meth:`MicroBatcher.gather`), so a
+        leaked slot silently turns batching back into deadline waits. Only
+        the first call counts; later ones, from any thread, are no-ops.
+        """
+        batcher = self.batcher
+        if batcher is not None:
+            batcher._release_in_flight(self)
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -131,7 +156,7 @@ class _Forming:
 
 
 class MicroBatcher:
-    """Thread-safe request queue with size- and deadline-triggered flushes.
+    """Thread-safe request queue with work-conserving, size-capped flushes.
 
     Parameters
     ----------
@@ -140,8 +165,11 @@ class MicroBatcher:
         size. A single request larger than the cap still forms its own
         (oversized, slab-bypassing) batch.
     max_wait_ms:
-        Flush once the oldest request in the forming batch has waited this
-        long, even if the batch is not full — the tail-latency bound.
+        Ceiling on how long the forming batch waits behind a batch still
+        in flight: it seals once its oldest request has waited this long,
+        even if the in-flight batch has not completed. With nothing in
+        flight the forming batch seals at once, so an idle batcher adds
+        no wait.
     max_queue_requests:
         Bound on queued (not yet gathered) requests; beyond it the
         overload policy applies.
@@ -185,6 +213,7 @@ class MicroBatcher:
         self._slab_dtype: Optional[np.dtype] = None  #: guarded-by: _cond
         self._n_pending = 0  #: guarded-by: _cond
         self._pending_traces = 0  #: guarded-by: _cond
+        self._in_flight = 0  #: guarded-by: _cond
         self._cond = threading.Condition()
         self._closed = False  #: guarded-by: _cond
 
@@ -355,9 +384,14 @@ class MicroBatcher:
 
         A batch holds whole requests whose trace counts sum to at most
         ``max_batch_traces`` (except a single oversized request, served
-        alone). After :meth:`close`, gather returns None immediately —
-        still-queued requests are left for :meth:`drain`, so shutdown
-        fails them fast rather than computing a backlog.
+        alone). Batches already sealed by size are returned whatever is in
+        flight. The forming batch is sealed as soon as every previously
+        gathered batch has been released (see
+        :meth:`FlushedBatch.release_in_flight`), or once its oldest request
+        has waited ``max_wait_ms``. Each returned batch holds one in-flight
+        slot until released. After :meth:`close`, gather returns None
+        immediately — still-queued requests are left for :meth:`drain`, so
+        shutdown fails them fast rather than computing a backlog.
         """
         with self._cond:
             while True:
@@ -366,6 +400,7 @@ class MicroBatcher:
                     live = [r for r in batch.requests if not r.shed]
                     self._n_pending -= len(live)
                     self._pending_traces -= sum(r.n_traces for r in live)
+                    self._in_flight += 1
                     break
                 if self._closed:
                     return None
@@ -376,8 +411,12 @@ class MicroBatcher:
                 if forming is None:
                     self._cond.wait()
                     continue
+                # Work-conserving: with nothing in flight, waiting for
+                # company only adds delay. Otherwise keep filling until the
+                # in-flight batches are released (which notifies) or the
+                # deadline, the ceiling, passes.
                 remaining = forming.deadline - time.perf_counter()
-                if remaining <= 0:
+                if self._in_flight == 0 or remaining <= 0:
                     self._seal_forming_locked()
                     continue
                 self._cond.wait(remaining)
@@ -402,7 +441,7 @@ class MicroBatcher:
             return FlushedBatch(
                 requests=batch.requests, demod=demod,
                 n_traces=batch.n_traces, sealed_at=batch.sealed_at,
-                slab=batch.slab, pool=self._pool)
+                slab=batch.slab, pool=self._pool, batcher=self)
         # Off the hot path: oversized/alien-geometry singles reuse the
         # request's own array (cast only when a quantized dtype is
         # forced); a pool at its outstanding bound assembles per batch.
@@ -422,7 +461,18 @@ class MicroBatcher:
                 offset += r.n_traces
         return FlushedBatch(requests=batch.requests, demod=demod,
                             n_traces=batch.n_traces,
-                            sealed_at=batch.sealed_at)
+                            sealed_at=batch.sealed_at, batcher=self)
+
+    def _release_in_flight(self, batch: FlushedBatch) -> None:
+        with self._cond:
+            if batch.batcher is None:
+                return              # already released
+            batch.batcher = None
+            self._in_flight -= 1
+            # Only a forming batch waits on the in-flight count; waking the
+            # gatherer otherwise costs the releasing thread a GIL handoff.
+            if self._in_flight == 0 and self._forming is not None:
+                self._cond.notify_all()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -435,6 +485,12 @@ class MicroBatcher:
     @property
     def slab_pool(self) -> SlabPool:
         return self._pool
+
+    @property
+    def in_flight(self) -> int:
+        """Gathered batches not yet released (see :meth:`gather`)."""
+        with self._cond:
+            return self._in_flight
 
     @property
     def trace_shape(self) -> Optional[tuple]:

@@ -26,6 +26,8 @@ class ServerConfig:
 
     * batching/backpressure — ``max_batch_traces``, ``max_wait_ms``,
       ``max_queue_requests``, ``overload`` (``"reject"`` or ``"shed"``);
+      ``max_wait_ms`` caps how long a request waits behind a batch still
+      computing, and an idle server dispatches at once;
     * hot-path dtype — ``trace_dtype`` (``None`` inherits each stream's
       dtype; ``np.float16`` is the opt-in quantized slab/ring path);
     * execution — ``backend`` (``"thread"``, ``"process"``, or a prebuilt

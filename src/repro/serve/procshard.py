@@ -919,7 +919,8 @@ class ProcessShardBackend(ShardBackend):
             if handle.dead:
                 # One dead shard makes the whole batch unservable; fail it
                 # up front instead of burning the healthy workers on it.
-                inflight.fail(handle.death_error())
+                # No shard will report, so abandon also frees its slot.
+                inflight.abandon(handle.death_error())
                 return
         # Per-shard handoff: each shard's submitter thread owns the slot
         # wait and the shared-memory copy, so the dispatcher returns

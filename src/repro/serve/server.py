@@ -3,8 +3,10 @@
 :class:`ReadoutServer` is the traffic-facing facade over PR 1's
 :class:`~repro.engine.ReadoutEngine`: clients submit single- or multi-trace
 discrimination requests (sync, future-based, or ``asyncio``); a
-:class:`~.batcher.MicroBatcher` coalesces them until a size or deadline
-trigger; and each flushed batch fans out to one worker per
+:class:`~.batcher.MicroBatcher` coalesces them while an earlier batch
+is computing (sealing at once when the shards are idle, and at the latest
+after ``max_wait_ms`` or at ``max_batch_traces``); and each flushed batch
+fans out to one worker per
 :class:`ServeShard`. A shard owns the fitted engine for one feedline qubit
 group — the software analogue of the paper's one-FPGA-per-feedline
 deployment — so each engine is only ever driven by its own worker (engines
@@ -188,12 +190,17 @@ class HealthReport:
 
 
 def _fail_future(future: Future, exc: BaseException) -> bool:
-    """Set an exception if the future is still settleable (not cancelled)."""
+    """Fail a pending future; True when its request counts as failed.
+
+    A future its client already cancelled counts as failed too: the
+    request still ended without bits, and every admitted request lands in
+    exactly one :class:`ServerStats` outcome.
+    """
     try:
         future.set_exception(exc)
         return True
     except InvalidStateError:
-        return False
+        return future.cancelled()
 
 
 class _InFlightBatch:
@@ -208,9 +215,15 @@ class _InFlightBatch:
     its pool at that same last report, the one point where no worker can
     still be reading it. Futures a client has already cancelled (e.g. an
     ``asyncio`` timeout propagated through ``wrap_future``) are skipped —
-    a cancelled request must never take a worker down with it — and a
-    batch whose every future was cancelled or shed recycles its response
-    slab too, since no view escaped.
+    a cancelled request must never take a worker down with it — and
+    counted as failed; shed riders are left to the submit that shed them.
+    A batch whose every future was cancelled or shed recycles its
+    response slab too, since no view escaped.
+
+    The batch's in-flight slot in the micro-batcher is given back exactly
+    once: at the last shard report, before the finalize pass (the shards
+    are free, so the next batch may seal), or by :meth:`abandon` when no
+    shard will ever report.
     """
 
     def __init__(self, batch: FlushedBatch, server: "ReadoutServer"):
@@ -273,19 +286,28 @@ class _InFlightBatch:
     def fail(self, exc: BaseException) -> None:
         """Fail every still-pending future (idempotent, non-reporting).
 
-        For batch-level errors outside any shard's report (dispatcher
-        submit errors, a backend refusing the batch). Slabs are *not*
-        recycled here — a path that cannot prove every worker is done
-        simply leaks them to the garbage collector (pool release is
-        advisory).
+        Slabs are *not* recycled here — a path that cannot prove every
+        worker is done simply leaks them to the garbage collector (pool
+        release is advisory).
         """
         with self._lock:
             if self._failed:
                 return
             self._failed = True
-        failed = sum(_fail_future(r.future, exc) for r in self.requests)
+        # Shed riders are failed (and counted) by the submit that shed them.
+        failed = sum(_fail_future(r.future, exc) for r in self.requests
+                     if not r.shed)
         if failed:
             self._stats.record_failure(failed)
+
+    def abandon(self, exc: BaseException) -> None:
+        """Fail a batch no shard will report on, and free its slot.
+
+        For batch-level errors outside any shard's report: the dispatcher's
+        backend handoff raising, or a backend refusing the batch up front.
+        """
+        self.fail(exc)
+        self._batch.release_in_flight()
 
     def _shard_done(self) -> None:
         with self._lock:
@@ -293,6 +315,8 @@ class _InFlightBatch:
             if self._remaining > 0:
                 return
             failed = self._failed
+        # Outside _lock: the release takes the batcher's condition.
+        self._batch.release_in_flight()
         if not failed:
             try:
                 self._finalize()
@@ -312,8 +336,14 @@ class _InFlightBatch:
         now = time.perf_counter()
         offset = 0
         escaped = 0
+        cancelled = 0
         for request in self.requests:
             m = request.n_traces
+            if request.shed:
+                # Its shedding submit fails (and counts) it, possibly
+                # still racing this pass: never resolve it here.
+                offset += m
+                continue
             bits = {
                 design: (response[d, offset]
                          if request.single
@@ -326,12 +356,14 @@ class _InFlightBatch:
                     bits=bits, latency_s=latency,
                     batch_traces=self.n_traces))
             except InvalidStateError:
-                pass        # client cancelled (or shed): result dropped
+                cancelled += 1      # by its client: result dropped
             else:
                 escaped += 1
                 self._stats.record_done(m, latency, now)
             offset += m
         self._views_escaped = escaped
+        if cancelled:
+            self._stats.record_failure(cancelled)
         if self.traced:
             resolve_end = time.perf_counter()
             tracer = self._server.tracer
@@ -566,8 +598,11 @@ class ReadoutServer:
         :attr:`config`.
     max_batch_traces / max_wait_ms / max_queue_requests / overload:
         Micro-batching and backpressure knobs, passed to
-        :class:`~.batcher.MicroBatcher`. ``max_batch_traces`` is also the
-        recycled trace-slab size.
+        :class:`~.batcher.MicroBatcher`. ``max_batch_traces`` caps a batch
+        and is also the recycled trace-slab size. ``max_wait_ms`` is a
+        ceiling, not a wait every request pays: a request reaching an idle
+        server is dispatched at once, and requests arriving while a batch
+        computes wait for it to finish, at most ``max_wait_ms``.
     trace_dtype:
         Optional forced dtype for the trace slabs (and, on the process
         backend, the shared-memory rings). ``np.float16`` halves hot-path
@@ -1090,6 +1125,7 @@ class ReadoutServer:
             if live == 0:
                 # Every rider was shed while queued; nothing to compute.
                 batch.release_slab()
+                batch.release_in_flight()
                 continue
             inflight = _InFlightBatch(batch, self)
             self.stats.record_batch(live, batch.n_traces)
@@ -1105,7 +1141,7 @@ class ReadoutServer:
             except Exception as exc:  # noqa: BLE001 — keep dispatching
                 # A backend that cannot take the batch fails it; the
                 # dispatcher itself must survive to drain the close.
-                inflight.fail(exc)
+                inflight.abandon(exc)
 
     def engine_stats(self) -> Dict[int, Dict[str, float]]:
         """Per-shard engine counters, keyed by shard index.

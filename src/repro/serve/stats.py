@@ -27,7 +27,9 @@ class ServerStats:
     Latencies are request-level (submission to future resolution) and kept
     in a bounded window so a long-lived server's percentile math stays O(1)
     in memory. Throughput is measured over the span from the first
-    submission to the most recent completion.
+    submission to the most recent completion. Every submitted request
+    lands in exactly one of ``completed``, ``failed`` (a future its client
+    cancelled counts here), ``rejected`` or ``shed``.
     """
 
     def __init__(self, latency_window: int = 8192):

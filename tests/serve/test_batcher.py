@@ -1,4 +1,5 @@
-"""Micro-batching scheduler tests: flush triggers, ordering, backpressure."""
+"""Micro-batching scheduler tests: flush triggers, work-conserving seals,
+ordering, backpressure."""
 
 import threading
 import time
@@ -67,6 +68,98 @@ class TestFlushTriggers:
         batcher.offer(request())
         thread.join(timeout=2.0)
         assert len(got) == 1 and len(got[0]) == 1
+
+
+def gather_in_thread(batcher):
+    """Start a consumer blocked in gather(); returns (results, thread)."""
+    got = []
+    thread = threading.Thread(target=lambda: got.append(batcher.gather()),
+                              daemon=True)
+    thread.start()
+    return got, thread
+
+
+class TestWorkConservingSeal:
+    def test_lone_request_on_idle_batcher_is_gathered_at_once(self):
+        batcher = MicroBatcher(max_batch_traces=1000, max_wait_ms=10_000)
+        lone = request()
+        batcher.offer(lone)
+        started = time.perf_counter()
+        batch = batcher.gather()
+        assert time.perf_counter() - started < 1.0     # not the 10 s ceiling
+        assert batch.requests == [lone]
+        assert batcher.in_flight == 1
+
+    def test_forming_batch_waits_while_a_batch_is_in_flight(self):
+        batcher = MicroBatcher(max_batch_traces=1000, max_wait_ms=10_000)
+        batcher.offer(request())
+        batcher.gather()                    # in flight, never released
+        batcher.offer(request())
+        got, thread = gather_in_thread(batcher)
+        time.sleep(0.1)
+        assert got == []                    # still forming behind it
+        assert len(batcher) == 1
+        batcher.close()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert got == [None]
+
+    def test_release_seals_forming_batch_before_the_deadline(self):
+        batcher = MicroBatcher(max_batch_traces=1000, max_wait_ms=10_000)
+        batcher.offer(request())
+        first = batcher.gather()
+        second, third = request(), request()
+        batcher.offer(second)
+        batcher.offer(third)
+        got, thread = gather_in_thread(batcher)
+        time.sleep(0.05)
+        assert got == []
+        released = time.perf_counter()
+        first.release_in_flight()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+        assert time.perf_counter() - released < 1.0
+        assert got[0].requests == [second, third]   # filled while waiting
+        assert batcher.in_flight == 1
+
+    def test_ceiling_seals_when_in_flight_batch_never_completes(self):
+        batcher = MicroBatcher(max_batch_traces=1000, max_wait_ms=50)
+        batcher.offer(request())
+        batcher.gather()                    # in flight, never released
+        waiting = request()
+        batcher.offer(waiting)
+        batch = batcher.gather()
+        waited = time.perf_counter() - waiting.enqueued_at
+        assert batch.requests == [waiting]
+        assert 0.045 <= waited < 5.0        # sealed by max_wait_ms itself
+        assert batcher.in_flight == 2
+
+    def test_size_sealed_batch_gathered_whatever_is_in_flight(self):
+        batcher = MicroBatcher(max_batch_traces=2, max_wait_ms=10_000)
+        batcher.offer(request())
+        batcher.gather()                    # in flight, never released
+        full = [request(), request()]
+        for r in full:
+            batcher.offer(r)
+        started = time.perf_counter()
+        assert batcher.gather().requests == full
+        oversized = request(5)
+        batcher.offer(oversized)
+        assert batcher.gather().requests == [oversized]
+        assert time.perf_counter() - started < 1.0
+        assert batcher.in_flight == 3
+
+    def test_release_counts_once(self):
+        batcher = MicroBatcher(max_batch_traces=1, max_wait_ms=0)
+        batcher.offer(request())
+        batcher.offer(request())
+        first, second = batcher.gather(), batcher.gather()
+        assert batcher.in_flight == 2
+        first.release_in_flight()
+        first.release_in_flight()
+        assert batcher.in_flight == 1
+        second.release_in_flight()
+        assert batcher.in_flight == 0
 
 
 class TestBackpressure:

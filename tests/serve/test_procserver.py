@@ -277,15 +277,24 @@ class TestLifecycle:
 
     def test_killed_worker_fails_queued_requests_fast(self, splits):
         train, val, test = splits
-        # A long flush deadline parks the burst in the batcher, so the
-        # kill always lands before any of it reaches the dead worker.
+        # Worker 1 is frozen first, so the burst's first batch stays in
+        # flight on it and the rest forms behind that batch: the kill
+        # always lands before any of the burst got an answer. Once that
+        # batch sits in worker 1's ring, its failure (and so the first
+        # future's) comes after the death is counted.
         server = build_sharded_server(("mf",), train, val, n_shards=2,
                                       backend="process",
                                       max_batch_traces=256, max_wait_ms=50.0)
         with server:
             server.predict(test.demod[0], timeout=30)     # warm and live
+            victim = server.backend.worker_pids[1]
+            os.kill(victim, signal.SIGSTOP)
             futures = [server.submit(test.demod[i]) for i in range(40)]
-            os.kill(server.backend.worker_pids[1], signal.SIGKILL)
+            shipped_by = time.monotonic() + 30
+            while not server.backend._handles[1]._pending:
+                assert time.monotonic() < shipped_by
+                time.sleep(0.001)
+            os.kill(victim, signal.SIGKILL)
 
             outcomes = {"ok": 0, "closed": 0}
             started = time.perf_counter()
