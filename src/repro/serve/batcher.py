@@ -7,9 +7,12 @@ waits for company. While a batch is in flight, the forming batch keeps
 filling until that batch completes, it holds ``max_batch_traces`` traces,
 or its oldest request has waited ``max_wait_ms`` — a ceiling on the wait,
 not a wait every request pays. Batch size therefore follows load: one
-request when idle, up to ``max_batch_traces`` under saturation. The owner
-of each gathered batch gives its in-flight slot back with
-:meth:`FlushedBatch.release_in_flight` when the batch is over.
+request when idle, up to ``max_batch_traces`` under saturation. A burst
+that reaches an idle batcher all at once splits: its first request is
+gathered alone and the rest form behind it, so a closed loop whose
+clients resubmit in lockstep runs smaller batches than a deadline would
+give it. The owner of each gathered batch gives its in-flight slot back
+with :meth:`FlushedBatch.release_in_flight` when the batch is over.
 
 Requests are never split across batches, so per-request futures resolve
 from exactly one engine pass. Backpressure on a full queue follows the

@@ -919,8 +919,10 @@ class ProcessShardBackend(ShardBackend):
             if handle.dead:
                 # One dead shard makes the whole batch unservable; fail it
                 # up front instead of burning the healthy workers on it.
-                # No shard will report, so abandon also frees its slot.
-                inflight.abandon(handle.death_error())
+                # No worker will see it, so report for every shard here.
+                exc = handle.death_error()
+                for _ in self._handles:
+                    inflight.shard_error(exc)
                 return
         # Per-shard handoff: each shard's submitter thread owns the slot
         # wait and the shared-memory copy, so the dispatcher returns

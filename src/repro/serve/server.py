@@ -220,10 +220,12 @@ class _InFlightBatch:
     A batch whose every future was cancelled or shed recycles its
     response slab too, since no view escaped.
 
-    The batch's in-flight slot in the micro-batcher is given back exactly
-    once: at the last shard report, before the finalize pass (the shards
-    are free, so the next batch may seal), or by :meth:`abandon` when no
-    shard will ever report.
+    The batch's in-flight slot in the micro-batcher is given back at the
+    last shard report, before the finalize pass (the shards are free, so
+    the next batch may seal). A backend that fails a batch before any
+    worker sees it still reports once per shard through
+    :meth:`shard_error`; only a backend handoff that raises leaves the
+    release to the dispatcher.
     """
 
     def __init__(self, batch: FlushedBatch, server: "ReadoutServer"):
@@ -300,15 +302,6 @@ class _InFlightBatch:
         if failed:
             self._stats.record_failure(failed)
 
-    def abandon(self, exc: BaseException) -> None:
-        """Fail a batch no shard will report on, and free its slot.
-
-        For batch-level errors outside any shard's report: the dispatcher's
-        backend handoff raising, or a backend refusing the batch up front.
-        """
-        self.fail(exc)
-        self._batch.release_in_flight()
-
     def _shard_done(self) -> None:
         with self._lock:
             self._remaining -= 1
@@ -362,14 +355,16 @@ class _InFlightBatch:
                 self._stats.record_done(m, latency, now)
             offset += m
         self._views_escaped = escaped
-        if cancelled:
-            self._stats.record_failure(cancelled)
         if self.traced:
             resolve_end = time.perf_counter()
             tracer = self._server.tracer
             for request in self.traced:
                 request.trace.add_span("resolve", now, resolve_end)
                 tracer.record(request.trace, resolve_end)
+        # Last, so that if anything above raises, the fail() that follows
+        # is the only pass counting the cancelled futures.
+        if cancelled:
+            self._stats.record_failure(cancelled)
 
 
 class ShardBackend:
@@ -1141,7 +1136,8 @@ class ReadoutServer:
             except Exception as exc:  # noqa: BLE001 — keep dispatching
                 # A backend that cannot take the batch fails it; the
                 # dispatcher itself must survive to drain the close.
-                inflight.abandon(exc)
+                inflight.fail(exc)
+                batch.release_in_flight()
 
     def engine_stats(self) -> Dict[int, Dict[str, float]]:
         """Per-shard engine counters, keyed by shard index.

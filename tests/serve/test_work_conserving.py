@@ -155,6 +155,35 @@ class TestInFlightSlots:
         assert server._batcher.in_flight == 0
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_failing_trace_tail_counts_cancelled_once(splits, backend,
+                                                  monkeypatch):
+    # The finalize pass resolves futures before its tracing tail; when the
+    # tail raises, the fail() that follows must be the only pass counting
+    # a cancelled rider as failed.
+    _, _, test = splits
+    server = make_server(splits, backend, trace_sample_rate=1.0)
+    with server:
+        def broken_record(trace, ended_at=None):
+            raise RuntimeError("recorder broke")
+
+        monkeypatch.setattr(server.tracer, "record", broken_record)
+        gate = Gate(server)
+        try:
+            held = server.submit(test.demod[0])
+            assert gate.entered.wait(30)
+            kept = server.submit(test.demod[1])      # forms behind held
+            dropped = server.submit(test.demod[2])
+            assert dropped.cancel()
+        finally:
+            gate.open()
+        assert wait_for(held) == "ok"
+        assert wait_for(kept) == "ok"
+        assert settled_in_flight(server) == 0
+    stats = server.stats
+    assert (stats.submitted, stats.completed, stats.failed) == (3, 2, 1)
+
+
 def test_dead_shard_fail_fast_releases(splits):
     # ProcessShardBackend.submit fails a batch up front when a shard is
     # dead; no shard ever reports on it, so the branch itself must give
