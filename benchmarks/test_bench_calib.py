@@ -24,7 +24,7 @@ from repro.engine import ReadoutEngine
 from repro.experiments import run_experiment
 from repro.experiments.results import ExperimentResult
 from repro.readout import generate_dataset, single_qubit_device
-from repro.serve import build_sharded_server, closed_loop
+from repro.serve import ServerConfig, build_sharded_server, closed_loop
 
 from conftest import json_result_path, run_once
 
@@ -44,8 +44,9 @@ def _swap_overhead() -> dict:
     train, val, test = data.split(np.random.default_rng(SEED + 1), 0.5, 0.1)
 
     def run(swapping: bool):
-        server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      max_batch_traces=128, max_wait_ms=0.5)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=1,
+            config=ServerConfig(max_batch_traces=128, max_wait_ms=0.5))
         server.start()
         # Two fitted engines ping-ponged by the swapper; both serve the
         # same design so every swap is a legal promotion.

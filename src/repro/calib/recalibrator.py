@@ -83,7 +83,9 @@ class Recalibrator:
     Parameters
     ----------
     server:
-        The live server whose engines are maintained.
+        The live server whose engines are maintained: fitted
+        :class:`~repro.engine.ReadoutEngine` shards, whose ``pipelines``
+        warm-start each candidate.
     calibration_shots_per_state:
         Fresh shots per basis state collected per cycle; split
         ``fit_fraction`` / ``val_fraction`` / probe holdout.
@@ -216,7 +218,7 @@ class Recalibrator:
         shard_train = fit_set.select_qubits(idx)
         shard_val = val_set.select_qubits(idx)
         shard_probe = probe.select_qubits(idx)
-        incumbent_pipelines = getattr(shard.engine, "pipelines", {})
+        incumbent_pipelines = shard.engine.pipelines
 
         designs = {}
         for name in self.server.design_names:

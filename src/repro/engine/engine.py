@@ -167,6 +167,11 @@ class ReadoutEngine:
         """
         self._batch_hooks.append(hook)
 
+    @property
+    def has_batch_hooks(self) -> bool:
+        """Whether any batch hook is attached (worth building a chunk for)."""
+        return bool(self._batch_hooks)
+
     def remove_batch_hook(self, hook) -> None:
         """Detach a previously added batch hook (no-op if absent)."""
         if hook in self._batch_hooks:
@@ -326,10 +331,11 @@ class ReadoutEngine:
         """Batch-submission hook: bits for a raw demod array.
 
         Wraps a ``(n, n_qubits, 2, n_bins)`` demodulated array (no labels
-        needed) in an unlabeled dataset and predicts — the entry point the
-        serving layer uses to push coalesced micro-batches through the
-        engine without materializing label arrays per request. ``out``
-        passes through to :meth:`predict_bits` for allocation-free results.
+        needed) in an unlabeled dataset and predicts, so a caller holding
+        only traces (the serving layer, through
+        :meth:`predict_traces_into`) never materializes label arrays per
+        request. ``out`` passes through to :meth:`predict_bits` for
+        allocation-free results.
         """
         n = demod.shape[0]
         dataset = ReadoutDataset(
@@ -346,7 +352,7 @@ class ReadoutEngine:
                             ) -> Dict[str, np.ndarray]:
         """Allocation-free serving entry point: bits into caller buffers.
 
-        The serving layer's feature-detected fast path: shard workers keep
+        The call :class:`~repro.serve.ShardEngine` names: shard workers keep
         recycled per-design output buffers (thread backend) or hand views
         straight into a shared-memory ring's response block (process
         backend) so a steady-state batch allocates nothing on the result

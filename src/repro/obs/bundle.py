@@ -65,19 +65,26 @@ def _tail_lines(path: str, limit: int) -> List[str]:
 
 
 def _server_summary(server: object) -> Dict[str, object]:
-    """Best-effort identity of what the bundle describes."""
+    """Best-effort identity of what the bundle describes.
+
+    A network service is described by the server behind it (its
+    ``server`` attribute). Process backends add their worker pids by
+    shard index.
+    """
+    server = getattr(server, "server", server)
     summary: Dict[str, object] = {"type": type(server).__name__}
-    for attr in ("n_shards", "max_batch_traces", "max_queue_batches",
-                 "batch_window_s", "stopping"):
-        value = getattr(server, attr, None)
-        if isinstance(value, (bool, int, float, str)):
-            summary[attr] = value
+    shards = getattr(server, "shards", None)
+    if shards is not None:
+        summary["n_shards"] = len(shards)
+    max_batch_traces = getattr(server, "max_batch_traces", None)
+    if isinstance(max_batch_traces, int):
+        summary["max_batch_traces"] = max_batch_traces
     backend = getattr(server, "backend", None)
     if backend is not None:
         summary["backend"] = type(backend).__name__
         pids = getattr(backend, "worker_pids", None)
-        if isinstance(pids, (list, tuple)):
-            summary["worker_pids"] = list(pids)
+        if pids:
+            summary["worker_pids"] = dict(pids)
     return summary
 
 
@@ -220,7 +227,7 @@ def _probe_bundle(bundle_dir: str) -> str:
     import numpy as np
 
     from repro.readout import five_qubit_paper_device, generate_dataset
-    from repro.serve import build_sharded_server
+    from repro.serve import ServerConfig, build_sharded_server
     from repro.serve.loadgen import closed_loop
 
     device = five_qubit_paper_device()
@@ -229,7 +236,8 @@ def _probe_bundle(bundle_dir: str) -> str:
         device, shots_per_state=20, rng=rng).split(rng, 0.5, 0.1)
     server = build_sharded_server(
         ("mf",), train, val, n_shards=2,
-        telemetry_interval_s=0.05, trace_sample_rate=0.5)
+        config=ServerConfig(telemetry_interval_s=0.05,
+                            trace_sample_rate=0.5))
     with server:
         closed_loop(server, test, n_clients=2, requests_per_client=5,
                     traces_per_request=1)

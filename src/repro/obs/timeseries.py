@@ -30,7 +30,6 @@ one. Sampling overhead is benchmark-gated like PR 7's span gate
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from collections import deque
@@ -127,11 +126,6 @@ class TelemetryStore:
         with self._lock:
             series = self._series.get(name)
             return series[-1][1] if series else None
-
-    def latest_at(self, name: str) -> Optional[Sample]:
-        with self._lock:
-            series = self._series.get(name)
-            return series[-1] if series else None
 
     def _bounds(self, name: str, window_s: float,
                 now: Optional[float]) -> Optional[Tuple[Sample, Sample]]:
@@ -418,7 +412,3 @@ class TelemetrySampler:
         # One final sample so the store's last window covers the moments
         # right before shutdown — exactly the ones a postmortem wants.
         self.sample_once()
-
-
-def _is_finite(value: float) -> bool:
-    return not (math.isnan(value) or math.isinf(value))

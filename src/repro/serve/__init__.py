@@ -4,8 +4,9 @@ The traffic-facing layer above :mod:`repro.engine`:
 
 * :class:`ReadoutServer` — sync/future/``asyncio`` submission of single-
   and multi-trace requests, micro-batched and fanned out to one worker
-  per feedline shard (each owning a fitted
-  :class:`~repro.engine.ReadoutEngine`);
+  per feedline shard (each owning a :class:`ShardEngine`, the three-member
+  engine contract a fitted :class:`~repro.engine.ReadoutEngine`
+  implements);
 * :class:`ShardBackend` — where those workers run:
   :class:`ThreadShardBackend` (in-process threads, default) or
   :class:`ProcessShardBackend` (one spawned process per shard, trace
@@ -26,8 +27,8 @@ The traffic-facing layer above :mod:`repro.engine`:
   :func:`network_closed_loop` driving the same workload over TCP through
   :mod:`repro.net`;
 * :class:`ServerConfig` — every server knob as one dataclass façade
-  (``ReadoutServer(shards, ServerConfig(...))``; legacy keyword
-  arguments keep working through a deprecation shim);
+  (``ReadoutServer(shards, ServerConfig(...))``, the one construction
+  spelling);
 * :func:`build_sharded_server` — fit-per-shard construction helper.
 """
 
@@ -39,7 +40,7 @@ from .config import ServerConfig
 from .loadgen import LoadReport, closed_loop, network_closed_loop, open_loop
 from .procshard import ProcessShardBackend
 from .server import (BACKENDS, HealthReport, ReadoutResponse, ReadoutServer,
-                     ServeShard, ShardBackend, ShardHealth,
+                     ServeShard, ShardBackend, ShardEngine, ShardHealth,
                      ThreadShardBackend)
 from .shm import TraceRing
 from .slab import SlabPool
@@ -50,8 +51,8 @@ __all__ = [
     "LoadReport", "MicroBatcher", "OVERLOAD_POLICIES",
     "ProcessShardBackend", "ReadoutResponse", "ReadoutServer",
     "ServeRequest", "ServeShard", "ServerClosedError", "ServerConfig",
-    "ServerOverloadedError", "ServerStats", "ShardBackend", "ShardHealth",
-    "SlabPool", "ThreadShardBackend", "TraceRing", "build_sharded_server",
-    "closed_loop", "fit_serve_shards", "network_closed_loop", "open_loop",
-    "percentile_key",
+    "ServerOverloadedError", "ServerStats", "ShardBackend", "ShardEngine",
+    "ShardHealth", "SlabPool", "ThreadShardBackend", "TraceRing",
+    "build_sharded_server", "closed_loop", "fit_serve_shards",
+    "network_closed_loop", "open_loop", "percentile_key",
 ]

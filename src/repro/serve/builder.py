@@ -63,8 +63,7 @@ def build_sharded_server(design_names: Sequence[str], train: ReadoutDataset,
                          dtype=np.float32,
                          chunk_size: Optional[int] = None,
                          config: Optional[ServerConfig] = None,
-                         backend: str = "thread",
-                         **server_kwargs) -> ReadoutServer:
+                         ) -> ReadoutServer:
     """Fit per-shard designs and assemble the serving facade.
 
     Parameters
@@ -84,37 +83,11 @@ def build_sharded_server(design_names: Sequence[str], train: ReadoutDataset,
         Engine knobs; the float32 default is the streaming hot path, pass
         ``np.float64`` for bit-exact parity with per-design prediction.
     config:
-        A :class:`~repro.serve.config.ServerConfig` carrying every
-        server knob (including the backend choice) — the redesigned
-        construction path. Mutually exclusive with ``backend`` /
-        ``server_kwargs``.
-    backend:
-        Legacy spelling of the shard execution backend: ``"thread"``
-        (in-process workers, default) or ``"process"`` (one spawned
-        worker process per shard — true parallel shards; see
-        :class:`~.procshard.ProcessShardBackend`). Prefer
-        ``config=ServerConfig(backend=...)``.
-    server_kwargs:
-        Legacy knobs forwarded to :class:`~.server.ReadoutServer`
-        (batching and backpressure knobs, ``backend_options``,
-        ``trace_dtype`` — pass ``trace_dtype=np.float16`` for the
-        opt-in quantized trace slab/ring path; see the README serve
-        tuning guide for the accuracy trade measured by
-        ``bench_ablation_quantization`` — and the monitoring knobs
-        ``telemetry_interval_s`` / ``alert_rules`` / ``bundle_dir``).
-        Prefer the matching :class:`ServerConfig` fields.
+        The :class:`~repro.serve.config.ServerConfig` of the server
+        (backend, batching, ``trace_dtype`` and monitoring knobs; see
+        :class:`~.server.ReadoutServer`); omitted, every default.
     """
     shards = fit_serve_shards(design_names, train, val, n_shards=n_shards,
                               training=training, dtype=dtype,
                               chunk_size=chunk_size)
-    if config is not None:
-        if server_kwargs or backend != "thread":
-            raise TypeError(
-                "pass either config= or the legacy backend/server "
-                "keyword arguments, not both")
-        return ReadoutServer(shards, config)
-    if backend != "thread" or server_kwargs:
-        config = ServerConfig(backend=backend, **server_kwargs)
-    else:
-        config = ServerConfig()
     return ReadoutServer(shards, config)

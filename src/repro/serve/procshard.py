@@ -66,6 +66,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.model_io import dumps_pipeline, loads_pipeline
+from repro.engine import ReadoutEngine
 from repro.obs.log import log_event
 from repro.readout.dataset import ReadoutDataset
 
@@ -162,30 +163,26 @@ class EngineSpec:
     chunk_size: int
 
 
-def engine_to_spec(engine) -> EngineSpec:
+def engine_to_spec(engine: ReadoutEngine) -> EngineSpec:
     """Serialize an engine's fitted pipelines for a worker process.
 
-    Requires an engine exposing ``pipelines`` (a fitted
-    :class:`~repro.engine.ReadoutEngine` does); anything else cannot cross
-    the process boundary and is rejected up front with a clear error.
+    Workers only ever run a :class:`~repro.engine.ReadoutEngine` rebuilt
+    from these pipelines, so any other engine is rejected up front,
+    before anything spawns.
     """
-    pipelines = getattr(engine, "pipelines", None)
-    if not pipelines:
+    if not isinstance(engine, ReadoutEngine):
         raise ValueError(
             f"the process backend ships engines as serialized fitted "
-            f"pipelines; {type(engine).__name__!r} exposes no pipelines "
-            f"mapping (use a fitted repro.engine.ReadoutEngine)")
+            f"pipelines; {type(engine).__name__!r} is not a "
+            f"repro.engine.ReadoutEngine")
     blobs = tuple((name, dumps_pipeline(pipeline))
-                  for name, pipeline in pipelines.items())
-    return EngineSpec(
-        blobs=blobs,
-        dtype=np.dtype(getattr(engine, "dtype", np.float32)).str,
-        chunk_size=int(getattr(engine, "chunk_size", 2048)))
+                  for name, pipeline in engine.pipelines.items())
+    return EngineSpec(blobs=blobs, dtype=engine.dtype.str,
+                      chunk_size=engine.chunk_size)
 
 
-def engine_from_spec(spec: EngineSpec):
+def engine_from_spec(spec: EngineSpec) -> ReadoutEngine:
     """Rebuild a serving engine from :func:`engine_to_spec` output."""
-    from repro.engine import ReadoutEngine
     designs = {name: loads_pipeline(blob) for name, blob in spec.blobs}
     return ReadoutEngine(designs, chunk_size=spec.chunk_size,
                          dtype=np.dtype(spec.dtype))
@@ -248,19 +245,13 @@ def _shard_worker_main(shard_index: int, design_names: Tuple[str, ...],
                     # parent's.
                     trace_ids = ring.read_trace_ids(slot)
                     t_infer = time.perf_counter() if trace_ids else 0.0
-                    demod = ring.request_view(slot, n_traces)
-                    into = getattr(engine, "predict_traces_into", None)
-                    if into is not None:
-                        # Zero-copy result path: the engine writes each
-                        # chunk's bits straight into the slot's response
-                        # block — no worker-side result array at all.
-                        out = {name: ring.response_view(slot, d, 0,
-                                                        n_traces)
-                               for d, name in enumerate(design_names)}
-                        into(demod, device, out)
-                    else:
-                        bits = engine.predict_traces(demod, device)
-                        ring.write_response(slot, bits, design_names)
+                    # Zero-copy result path: the engine writes each
+                    # chunk's bits straight into the slot's response
+                    # block — no worker-side result array at all.
+                    out = {name: ring.response_view(slot, d, 0, n_traces)
+                           for d, name in enumerate(design_names)}
+                    engine.predict_traces_into(
+                        ring.request_view(slot, n_traces), device, out)
                     span = ((trace_ids, t_infer, time.perf_counter())
                             if trace_ids else None)
                     results.send(("done", seq, slot,
@@ -437,7 +428,7 @@ class _ProcessShard:
         try:
             demods = [inflight.demod[:, self._columns]
                       for inflight in group]
-            if not self._ring_fits(demods[0], total):
+            if self._ring is None or not self._ring.fits(demods[0], total):
                 self._reallocate_ring(demods[0], total)
             slot = self._acquire_free_slot()
         except _ShardUnavailable as exc:
@@ -500,13 +491,6 @@ class _ProcessShard:
                 inflight.shard_error(exc)
             return
         self._server.stats.record_ring_flush(len(group))
-
-    def _ring_fits(self, demod: np.ndarray, total: int) -> bool:
-        ring = self._ring
-        return (ring is not None
-                and total <= ring.capacity
-                and tuple(demod.shape[1:]) == tuple(ring.spec.trace_shape)
-                and demod.dtype == np.dtype(ring.spec.dtype))
 
     def _acquire_free_slot(self) -> int:
         while True:
@@ -683,8 +667,7 @@ class _ProcessShard:
         batch, so a slow hook never pins a ring slot.
         """
         engine = self.shard.engine
-        run = getattr(engine, "run_batch_hooks", None)
-        if run is None or not getattr(engine, "_batch_hooks", None):
+        if not engine.has_batch_hooks:
             return
         demod = inflight.demod[:, self._columns]
         chunk = ReadoutDataset(
@@ -693,7 +676,7 @@ class _ProcessShard:
                             dtype=np.int64),
             basis=np.zeros(demod.shape[0], dtype=np.int64),
             device=self.shard.device)
-        run(chunk, bits)
+        engine.run_batch_hooks(chunk, bits)
 
     def _on_death(self) -> None:
         with self._lock:
@@ -832,11 +815,12 @@ class ProcessShardBackend(ShardBackend):
         portable, state-clean choice and the one the spawn-safety tests
         pin.
 
-    Requires every shard engine to expose serializable fitted pipelines
-    (see :func:`engine_to_spec`); stub engines without them are rejected
-    at :meth:`start`. After :meth:`stop`, :attr:`exit_codes` holds each
-    worker's recorded exit code, keyed by shard index — ``0`` is a clean
-    reap, negative values are the fatal signal.
+    Serves only :class:`~repro.engine.ReadoutEngine` engines, whose fitted
+    pipelines it ships to the workers (see :func:`engine_to_spec`); any
+    other engine is rejected at :meth:`start` or at the swap. After
+    :meth:`stop`, :attr:`exit_codes` holds each worker's recorded exit
+    code, keyed by shard index — ``0`` is a clean reap, negative values
+    are the fatal signal.
     """
 
     name = "process"

@@ -48,10 +48,12 @@ import time
 from concurrent.futures import Future, InvalidStateError
 from dataclasses import dataclass, field
 from queue import SimpleQueue
-from typing import Dict, List, Optional, Sequence, Union
+from typing import (Dict, List, Optional, Protocol, Sequence, Union,
+                    runtime_checkable)
 
 import numpy as np
 
+from repro.engine import EngineStats
 from repro.obs.alerts import AlertManager, AlertState, default_rules
 from repro.obs.log import log_event
 from repro.obs.metrics import MetricsRegistry
@@ -70,19 +72,48 @@ from .stats import ServerStats
 BACKENDS = ("thread", "process")
 
 
+@runtime_checkable
+class ShardEngine(Protocol):
+    """The engine contract a shard worker relies on, and nothing more.
+
+    A fitted :class:`~repro.engine.ReadoutEngine` implements it; test
+    stubs implement the same three members. The server checks it once,
+    where an engine enters (construction and
+    :meth:`ReadoutServer.swap_engine`), and then calls the members
+    directly. ``predict_traces_into(demod, device, out)`` writes each
+    design's ``(m, n_qubits)`` bits into the caller's ``out`` buffers and
+    returns them; ``stats.as_dict()`` feeds
+    :meth:`ReadoutServer.engine_stats`.
+    """
+
+    design_names: Sequence[str]
+    stats: EngineStats
+
+    def predict_traces_into(self, demod: np.ndarray, device: DeviceParams,
+                            out: Dict[str, np.ndarray],
+                            ) -> Dict[str, np.ndarray]:
+        ...
+
+
+def _check_engine(engine: object) -> None:
+    if not isinstance(engine, ShardEngine):
+        raise TypeError(
+            f"{type(engine).__name__!r} is not a ShardEngine: an engine "
+            f"needs design_names, stats and predict_traces_into (a fitted "
+            f"repro.engine.ReadoutEngine has them)")
+
+
 @dataclass
 class ServeShard:
     """One serving worker: a feedline qubit group plus its fitted engine.
 
-    ``engine`` must expose ``design_names`` and
-    ``predict_traces(demod, device)`` (a fitted
-    :class:`~repro.engine.ReadoutEngine` does) over traces of
+    ``engine`` is a :class:`ShardEngine` (a fitted
+    :class:`~repro.engine.ReadoutEngine`) over traces of
     ``feedline.n_qubits`` qubits; ``device`` is the sharded
     :class:`~repro.readout.parameters.DeviceParams` the engine was fitted
-    for (see :func:`~repro.readout.sharding.shard_device`). Engines that
-    additionally expose ``predict_traces_into(demod, device, out)`` are
-    driven through preallocated output buffers (zero per-batch result
-    allocation); plain ``predict_traces`` stubs keep working.
+    for (see :func:`~repro.readout.sharding.shard_device`). Workers drive
+    it through preallocated output buffers, so a steady-state batch
+    allocates no result arrays.
 
     ``engine`` is deliberately a mutable reference: the shard's worker
     re-reads it at every micro-batch boundary, which is what lets
@@ -97,7 +128,7 @@ class ServeShard:
     """
 
     feedline: FeedlineShard
-    engine: object
+    engine: ShardEngine
     device: DeviceParams
 
 
@@ -435,10 +466,10 @@ class ThreadShardBackend(ShardBackend):
     The original execution model: lowest latency and zero startup cost,
     with every shard's engine driven in-process. Each worker keeps a
     preallocated per-design output buffer and drives engines through
-    ``predict_traces_into`` when available, so a steady-state batch
-    allocates nothing; engine batch hooks fire naturally on the inference
-    threads and :meth:`ReadoutServer.swap_engine` is a plain reference
-    swap. Throughput, however, is bounded by one interpreter — use
+    ``predict_traces_into``, so a steady-state batch allocates nothing;
+    engine batch hooks fire naturally on the inference threads and
+    :meth:`ReadoutServer.swap_engine` is a plain reference swap.
+    Throughput, however, is bounded by one interpreter — use
     :class:`~.procshard.ProcessShardBackend` when shard compute should
     actually run in parallel.
     """
@@ -505,15 +536,11 @@ class ThreadShardBackend(ShardBackend):
                 continue
             try:
                 engine = shard.engine
-                demod = inflight.demod[:, columns]
-                predict_into = getattr(engine, "predict_traces_into", None)
-                if predict_into is not None:
-                    out = self._out_views(out_bufs, engine.design_names,
-                                          inflight.n_traces,
-                                          shard.feedline.n_qubits)
-                    bits = predict_into(demod, shard.device, out)
-                else:
-                    bits = engine.predict_traces(demod, shard.device)
+                out = self._out_views(out_bufs, engine.design_names,
+                                      inflight.n_traces,
+                                      shard.feedline.n_qubits)
+                bits = engine.predict_traces_into(
+                    inflight.demod[:, columns], shard.device, out)
                 if inflight.traced and inflight.dispatched_at is not None:
                     # Starts at the backend handoff, so worker-queue wait
                     # and the engine pass land in one attributed span.
@@ -556,19 +583,14 @@ def _shard_columns(feedline: FeedlineShard) -> Union[slice, np.ndarray]:
     return np.asarray(idx, dtype=np.intp)
 
 
-def _make_backend(backend, backend_options) -> ShardBackend:
+def _make_backend(backend) -> ShardBackend:
     if isinstance(backend, ShardBackend):
-        if backend_options:
-            raise ValueError(
-                "backend_options only apply to backends built by name; "
-                "configure the instance directly")
         return backend
-    options = dict(backend_options or {})
     if backend == "thread":
-        return ThreadShardBackend(**options)
+        return ThreadShardBackend()
     if backend == "process":
         from .procshard import ProcessShardBackend
-        return ProcessShardBackend(**options)
+        return ProcessShardBackend()
     raise ValueError(
         f"backend must be one of {BACKENDS} or a ShardBackend instance, "
         f"got {backend!r}")
@@ -582,15 +604,12 @@ class ReadoutServer:
     shards:
         The :class:`ServeShard` workers. Their feedline groups must be
         disjoint and together cover qubits ``0..n-1``; every engine must
-        serve the same design names.
+        be a :class:`ShardEngine` (else ``TypeError``) serving the same
+        design names.
     config:
         A :class:`~repro.serve.config.ServerConfig` grouping every knob
-        below — the redesigned construction path
-        (``ReadoutServer(shards, ServerConfig(max_wait_ms=...))``). The
-        knobs may instead be passed as legacy keyword arguments, which a
-        deprecation shim folds into an equivalent config; mixing the two
-        spellings raises ``TypeError``. The resolved config is kept on
-        :attr:`config`.
+        below (``ReadoutServer(shards, ServerConfig(max_wait_ms=...))``;
+        omitted, every default). It is kept on :attr:`config`.
     max_batch_traces / max_wait_ms / max_queue_requests / overload:
         Micro-batching and backpressure knobs, passed to
         :class:`~.batcher.MicroBatcher`. ``max_batch_traces`` caps a batch
@@ -601,22 +620,21 @@ class ReadoutServer:
     trace_dtype:
         Optional forced dtype for the trace slabs (and, on the process
         backend, the shared-memory rings). ``np.float16`` halves hot-path
-        memory traffic at a small, measured accuracy cost (see the
-        ``bench_ablation_quantization`` harness); the default ``None``
-        inherits each stream's own dtype, preserving bit-exact float64
-        parity.
+        memory traffic at a small accuracy cost; the float16 tests in
+        ``tests/serve/test_server.py`` (agreement with the full-precision
+        path) and ``tests/serve/test_procserver.py`` (bit-identical across
+        backends) pin it. The default ``None`` inherits each stream's own
+        dtype, preserving bit-exact float64 parity.
     latency_window:
         Size of the latency sample window kept by :class:`ServerStats`.
     backend:
         Where shard workers run: ``"thread"`` (default, this process),
         ``"process"`` (one spawned worker process per shard, batches via
-        shared memory), or a prebuilt :class:`ShardBackend` instance.
-        The process backend requires engines whose fitted pipelines are
-        serializable (a :class:`~repro.engine.ReadoutEngine` over
-        ``make_design`` products is).
-    backend_options:
-        Keyword arguments for the named backend's constructor (e.g.
-        ``{"ring_slots": 4}`` for the process backend).
+        shared memory), or a prebuilt :class:`ShardBackend` instance,
+        which is how a backend gets non-default options (e.g.
+        ``ProcessShardBackend(ring_slots=4)``). The process backend
+        serves only :class:`~repro.engine.ReadoutEngine` engines, whose
+        fitted pipelines it ships to the workers.
     trace_sample_rate:
         Fraction of requests that get a :class:`~repro.obs.trace.
         TraceContext` recording per-stage spans (queue-wait, batch-seal,
@@ -657,13 +675,14 @@ class ReadoutServer:
     """
 
     def __init__(self, shards: Sequence[ServeShard],
-                 config: Optional[ServerConfig] = None, **legacy_kwargs):
-        config = ServerConfig.resolve(config, legacy_kwargs)
+                 config: Optional[ServerConfig] = None):
+        config = ServerConfig() if config is None else config
         self.config = config
         if not shards:
             raise ValueError("server needs at least one shard")
         covered: List[int] = []
         for shard in shards:
+            _check_engine(shard.engine)
             covered.extend(shard.feedline.qubit_indices)
         if len(set(covered)) != len(covered):
             raise ValueError("shard qubit groups overlap")
@@ -680,23 +699,22 @@ class ReadoutServer:
         self.design_names = list(names[0])
         self.trace_dtype = (None if config.trace_dtype is None
                             else np.dtype(config.trace_dtype))
-        self.stats = ServerStats(latency_window=config.latency_window)
+        self._trace_pool = SlabPool()
+        self._response_pool = SlabPool()
+        self.stats = ServerStats(latency_window=config.latency_window,
+                                 trace_pool=self._trace_pool,
+                                 response_pool=self._response_pool)
         # Column indexers by feedline index, computed exactly once: the
         # per-batch scatter must never rebuild list(feedline.qubit_indices).
         self._columns = {s.feedline.index: _shard_columns(s.feedline)
                          for s in self._shards}
-        self._trace_pool = SlabPool(
-            observer=lambda event: self.stats.record_slab("trace", event))
-        self._response_pool = SlabPool(
-            observer=lambda event: self.stats.record_slab("response", event))
         self._batcher = MicroBatcher(
             max_batch_traces=config.max_batch_traces,
             max_wait_ms=config.max_wait_ms,
             max_queue_requests=config.max_queue_requests,
             overload=config.overload,
             trace_dtype=config.trace_dtype, slab_pool=self._trace_pool)
-        self._backend = _make_backend(config.backend,
-                                      config.backend_options)
+        self._backend = _make_backend(config.backend)
         self._recorder = (config.flight_recorder
                           if config.flight_recorder is not None
                           else FlightRecorder())
@@ -975,9 +993,10 @@ class ReadoutServer:
         exactly the same batch boundary. ``device`` optionally updates the
         per-shard device snapshot handed to the engine (a recalibrated
         engine is usually fitted against fresher calibration data). The
-        new engine must serve exactly the server's design names over the
-        shard's qubit group — design names and, when ``device`` is passed,
-        its qubit count are validated here; an engine's group width is not
+        new engine must be a :class:`ShardEngine` (else ``TypeError``)
+        serving exactly the server's design names over the shard's qubit
+        group — design names and, when ``device`` is passed, its qubit
+        count are validated here; an engine's group width is not
         introspectable without a probe trace, so fitting the replacement
         for the right shard is the caller's contract
         (:class:`repro.calib.Recalibrator` fits per ``feedline`` slice).
@@ -991,6 +1010,7 @@ class ReadoutServer:
             known = sorted(s.feedline.index for s in self._shards)
             raise ValueError(
                 f"no shard with feedline index {shard_index}; have {known}")
+        _check_engine(engine)
         names = sorted(engine.design_names)
         if names != sorted(self.design_names):
             raise ValueError(
@@ -1149,16 +1169,10 @@ class ReadoutServer:
         batch hooks run parent-side there (the workers have none), so the
         replica is the only place a broken observer shows up.
         """
-        out: Dict[int, Dict[str, float]] = {}
-        for shard in self._shards:
-            stats = getattr(shard.engine, "stats", None)
-            if stats is not None and hasattr(stats, "as_dict"):
-                out[shard.feedline.index] = stats.as_dict()
+        out = {shard.feedline.index: shard.engine.stats.as_dict()
+               for shard in self._shards}
         for index, worker in self._backend.engine_stats().items():
-            parent = out.get(index)
-            if parent is not None and "hook_errors" in parent:
-                worker = dict(worker)
-                worker["hook_errors"] = (worker.get("hook_errors", 0)
-                                         + parent["hook_errors"])
+            worker = dict(worker)
+            worker["hook_errors"] += out[index]["hook_errors"]
             out[index] = worker
         return out

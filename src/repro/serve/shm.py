@@ -130,36 +130,18 @@ class TraceRing:
         return cls(RingSpec(**fields), create=False)
 
     # ------------------------------------------------------------------
-    # Capacity queries
+    # Capacity query
     # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return self.spec.capacity
-
-    @property
-    def n_slots(self) -> int:
-        return self.spec.n_slots
-
-    def fits(self, demod: np.ndarray) -> bool:
-        """Whether a ``(m, n_qubits, 2, n_bins)`` batch fits one slot."""
-        return (demod.shape[0] <= self.spec.capacity
+    def fits(self, demod: np.ndarray, n_traces: int) -> bool:
+        """Whether ``n_traces`` traces shaped and typed like ``demod``'s
+        ``(m, n_qubits, 2, n_bins)`` rows fit one slot."""
+        return (n_traces <= self.spec.capacity
                 and tuple(demod.shape[1:]) == tuple(self.spec.trace_shape)
                 and demod.dtype == self._requests.dtype)
 
     # ------------------------------------------------------------------
     # Request side
     # ------------------------------------------------------------------
-    def write_request(self, slot: int, demod: np.ndarray) -> int:
-        """Copy a batch into a request slot; returns its trace count."""
-        n = int(demod.shape[0])
-        if not self.fits(demod):
-            raise ValueError(
-                f"batch {demod.shape}/{demod.dtype} does not fit ring slot "
-                f"({self.spec.capacity} x {self.spec.trace_shape}, "
-                f"{self.spec.dtype})")
-        self._requests[slot, :n] = demod
-        return n
-
     #: hot-path
     def write_request_at(self, slot: int, offset: int,
                          demod: np.ndarray) -> int:
@@ -212,23 +194,6 @@ class TraceRing:
     # ------------------------------------------------------------------
     # Response side
     # ------------------------------------------------------------------
-    def write_response(self, slot: int, bits: Dict[str, np.ndarray],
-                       design_names: Sequence[str]) -> None:
-        """Store per-design bits for a slot (worker side, in place)."""
-        for d, name in enumerate(design_names):
-            out = bits[name]
-            self._responses[slot, d, :out.shape[0]] = out
-
-    def read_response(self, slot: int, n_traces: int,
-                      design_names: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Copy per-design bits out of a slot (owner side).
-
-        Copies, not views: the caller frees the slot for reuse immediately
-        after, so a view would be silently overwritten by the next batch.
-        """
-        return {name: np.array(self._responses[slot, d, :n_traces])
-                for d, name in enumerate(design_names)}
-
     #: hot-path
     def response_view(self, slot: int, design_index: int, offset: int,
                       n_traces: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -48,15 +48,15 @@ class SlabPool:
         Lent-slab ceiling across all geometries; at the ceiling
         :meth:`acquire` returns ``None`` (caller allocates per batch).
         ``None`` disables the bound.
-    observer:
-        Optional callback receiving ``"allocated"``, ``"reused"``, or
-        ``"fallback"`` per acquire — the :class:`~.stats.ServerStats`
-        wiring point.
+
+    Every acquire counts once, under the pool lock, as ``allocated``
+    (fresh array), ``reused`` (recycled, the steady state) or
+    ``fallbacks`` (at the bound; the caller allocates exact-size).
+    :meth:`counts` reads all three for :class:`~.stats.ServerStats`.
     """
 
     def __init__(self, *, max_free: int = DEFAULT_MAX_FREE,
-                 max_outstanding: Optional[int] = DEFAULT_MAX_OUTSTANDING,
-                 observer: Optional[Callable[[str], None]] = None):
+                 max_outstanding: Optional[int] = DEFAULT_MAX_OUTSTANDING):
         if max_free < 1:
             raise ValueError(f"max_free must be positive, got {max_free}")
         if max_outstanding is not None and max_outstanding < 1:
@@ -66,7 +66,6 @@ class SlabPool:
         self.max_free = int(max_free)
         self.max_outstanding = (None if max_outstanding is None
                                 else int(max_outstanding))
-        self._observer = observer
         self._lock = threading.Lock()
         self._free: Dict[Tuple[Tuple[int, ...], np.dtype],
                          List[np.ndarray]] = {}
@@ -87,10 +86,6 @@ class SlabPool:
         lent[key] = weakref.ref(
             slab, lambda _ref, key=key, lent=lent: lent.pop(key, None))
 
-    def _notify(self, event: str) -> None:
-        if self._observer is not None:
-            self._observer(event)
-
     #: hot-path
     def acquire(self, shape: Tuple[int, ...],
                 dtype) -> Optional[np.ndarray]:
@@ -102,20 +97,14 @@ class SlabPool:
                 slab = stack.pop()
                 self._track_locked(slab)
                 self.reused += 1
-                event = "reused"
             elif (self.max_outstanding is not None
                     and len(self._lent) >= self.max_outstanding):
                 self.fallbacks += 1
                 slab = None
-                event = "fallback"
             else:
                 slab = np.empty(key[0], dtype=key[1])
                 self._track_locked(slab)
                 self.allocated += 1
-                event = "allocated"
-        # Release-before-callback: the observer (ServerStats.record_slab)
-        # takes its own lock and must never nest inside the pool lock.
-        self._notify(event)
         return slab
 
     #: hot-path
@@ -127,6 +116,12 @@ class SlabPool:
             stack = self._free.setdefault(key, [])
             if len(stack) < self.max_free:
                 stack.append(slab)
+
+    def counts(self) -> Dict[str, int]:
+        """``{"allocated", "reused", "fallbacks"}`` acquire outcomes so far."""
+        with self._lock:
+            return {"allocated": self.allocated, "reused": self.reused,
+                    "fallbacks": self.fallbacks}
 
     @property
     def outstanding(self) -> int:

@@ -9,6 +9,8 @@ from typing import Deque, Dict, Optional
 
 import numpy as np
 
+from .slab import SlabPool
+
 #: Percentiles reported by :meth:`ServerStats.latency_percentiles`.
 #: 99.9 (reported as ``p999_ms``) is the QEC tail-latency observable;
 #: it is only meaningful once the window holds >= ~1000 samples, which
@@ -30,9 +32,15 @@ class ServerStats:
     submission to the most recent completion. Every submitted request
     lands in exactly one of ``completed``, ``failed`` (a future its client
     cancelled counts here), ``rejected`` or ``shed``.
+
+    Slab counters are not mirrored here: the ``trace_pool`` and
+    ``response_pool`` passed in count their own acquires, and
+    :meth:`snapshot` reads them (an omitted pool counts nothing).
     """
 
-    def __init__(self, latency_window: int = 8192):
+    def __init__(self, latency_window: int = 8192, *,
+                 trace_pool: Optional[SlabPool] = None,
+                 response_pool: Optional[SlabPool] = None):
         if latency_window < 1:
             raise ValueError(
                 f"latency_window must be positive, got {latency_window}")
@@ -54,13 +62,8 @@ class ServerStats:
         self.worker_deaths = 0  #: guarded-by: _lock
         self.swaps = 0  #: guarded-by: _lock
         self.model_versions: Dict[int, int] = {}  #: guarded-by: _lock
-        # Hot-path memory counters (slab pools) and dispatch health.
-        self.trace_slab_allocated = 0  #: guarded-by: _lock
-        self.trace_slab_reused = 0  #: guarded-by: _lock
-        self.trace_slab_fallbacks = 0  #: guarded-by: _lock
-        self.response_slab_allocated = 0  #: guarded-by: _lock
-        self.response_slab_reused = 0  #: guarded-by: _lock
-        self.response_slab_fallbacks = 0  #: guarded-by: _lock
+        self._pools = {"trace": trace_pool or SlabPool(),
+                       "response": response_pool or SlabPool()}
         self.ring_flushes = 0  #: guarded-by: _lock
         self.ring_batches = 0  #: guarded-by: _lock
         #: guarded-by: _lock
@@ -131,22 +134,6 @@ class ServerStats:
         with self._lock:
             self.worker_deaths += 1
 
-    def record_slab(self, pool: str, event: str) -> None:
-        """Count one slab-pool acquire outcome.
-
-        ``pool`` is ``"trace"`` (micro-batch trace slabs) or ``"response"``
-        (bit-scatter slabs); ``event`` is the :class:`~.slab.SlabPool`
-        observer vocabulary — ``"allocated"`` (fresh array), ``"reused"``
-        (recycled, the steady state), or ``"fallback"`` (pool at its
-        outstanding bound, caller allocated exact-size). A healthy hot
-        path converges to reused-only; fallbacks flag backlog pressure.
-        """
-        attr = f"{pool}_slab_{event}"
-        if event == "fallback":
-            attr += "s"
-        with self._lock:
-            setattr(self, attr, getattr(self, attr) + 1)
-
     def record_dispatch_lag(self, lag_s: float) -> None:
         """Seal-to-dispatch delay for one flushed batch.
 
@@ -210,16 +197,6 @@ class ServerStats:
         return {"dispatch_lag_p50_ms": 1000.0 * float(values[0]),
                 "dispatch_lag_p99_ms": 1000.0 * float(values[1])}
 
-    def _slab_reuse_ratio_locked(self) -> float:
-        acquires = (self.trace_slab_allocated + self.trace_slab_reused
-                    + self.trace_slab_fallbacks
-                    + self.response_slab_allocated
-                    + self.response_slab_reused
-                    + self.response_slab_fallbacks)
-        if acquires == 0:
-            return 0.0
-        return (self.trace_slab_reused + self.response_slab_reused) / acquires
-
     def _ring_coalesce_ratio_locked(self) -> float:
         if self.ring_flushes == 0:
             return 0.0
@@ -282,8 +259,17 @@ class ServerStats:
         hot-swap version counters (string keys, JSON-safe). The whole
         snapshot is taken under a single lock acquisition so its counters
         are mutually consistent — a reader never sees a ``completed``
-        bumped after the latency window it is reported next to.
+        bumped after the latency window it is reported next to. The slab
+        counters (``{trace,response}_slab_{allocated,reused,fallbacks}``)
+        are read from the pools just before, each under its pool's lock.
+        A healthy hot path converges to reused-only
+        (``slab_reuse_ratio``); fallbacks flag backlog pressure.
         """
+        slabs = {f"{pool}_slab_{outcome}": count
+                 for pool, slab_pool in self._pools.items()
+                 for outcome, count in slab_pool.counts().items()}
+        acquires = sum(slabs.values())
+        reused = slabs["trace_slab_reused"] + slabs["response_slab_reused"]
         with self._lock:
             counters = {
                 "submitted": self.submitted,
@@ -301,12 +287,7 @@ class ServerStats:
                 "probe_traces": self.probe_traces,
                 "worker_deaths": self.worker_deaths,
                 "swaps": self.swaps,
-                "trace_slab_allocated": self.trace_slab_allocated,
-                "trace_slab_reused": self.trace_slab_reused,
-                "trace_slab_fallbacks": self.trace_slab_fallbacks,
-                "response_slab_allocated": self.response_slab_allocated,
-                "response_slab_reused": self.response_slab_reused,
-                "response_slab_fallbacks": self.response_slab_fallbacks,
+                **slabs,
                 "ring_flushes": self.ring_flushes,
                 "ring_batches": self.ring_batches,
                 "model_versions": {str(shard): version for shard, version
@@ -315,7 +296,8 @@ class ServerStats:
             counters.update(self._latency_percentiles_locked())
             counters.update(self._dispatch_lag_locked())
             counters["mean_batch_traces"] = self._mean_batch_traces_locked()
-            counters["slab_reuse_ratio"] = self._slab_reuse_ratio_locked()
+            counters["slab_reuse_ratio"] = (reused / acquires if acquires
+                                            else 0.0)
             counters["ring_coalesce_ratio"] = \
                 self._ring_coalesce_ratio_locked()
             counters["throughput_traces_per_s"] = self._throughput_locked()

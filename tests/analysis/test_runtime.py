@@ -178,11 +178,12 @@ def test_live_monitor_sees_repro_locks(small_splits):
     # populate the global graph with repro-created lock sites.
     import numpy as np
 
-    from repro.serve import build_sharded_server
+    from repro.serve import ServerConfig, build_sharded_server
 
     train, val, test = small_splits
     server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                  dtype=np.float64, max_wait_ms=0.5)
+                                  dtype=np.float64,
+                                  config=ServerConfig(max_wait_ms=0.5))
     with server:
         server.predict(test.demod[:8])
     monitor = get_monitor()

@@ -12,9 +12,9 @@ Each pin failed before its fix landed:
   ``MicroBatcher._build`` read ``_cond``-guarded geometry outside the
   lock (all RPA001/RPA002) — pinned by requiring the analyzer to stay
   clean over exactly those files.
-- ``SlabPool`` / ``MetricsRegistry`` observer and collector calls must
-  run *outside* the owning lock (release-before-callback) — probed
-  behaviorally with non-blocking lock acquisition from the callback.
+- ``MetricsRegistry`` collector calls must run *outside* the owning
+  lock (release-before-callback) — probed behaviorally with
+  non-blocking lock acquisition from the callback.
 """
 
 import logging
@@ -27,8 +27,7 @@ from repro.analysis.runner import apply_suppressions
 from repro.obs.alerts import AlertManager, SeriesRule
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TelemetryStore
-from repro.serve import build_sharded_server
-from repro.serve.slab import SlabPool
+from repro.serve import ServerConfig, build_sharded_server
 
 REPO_SRC = "src/repro"
 
@@ -82,7 +81,8 @@ class _LockProbeHandler(logging.Handler):
 def test_server_start_logs_outside_state_lock(small_splits):
     train, val, _ = small_splits
     server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                  dtype=np.float64, max_wait_ms=0.5)
+                                  dtype=np.float64,
+                                  config=ServerConfig(max_wait_ms=0.5))
     logger = logging.getLogger("repro.events.serve")
     old_level = logger.level
     probe = _LockProbeHandler("server_start", server._state_lock)
@@ -113,24 +113,6 @@ def test_alert_callback_errors_are_counted_not_raised():
     assert [t.rule.name for t in transitions] == ["deaths"]
     assert manager.callback_errors == 1
     assert manager.state("deaths").firing is True
-
-
-def test_slab_pool_observer_runs_outside_pool_lock():
-    seen = []
-
-    def observer(event):
-        free = pool._lock.acquire(blocking=False)
-        if free:
-            pool._lock.release()
-        seen.append((event, free))
-
-    pool = SlabPool(observer=observer)
-    slab = pool.acquire((4, 2), np.float32)
-    pool.release(slab)
-    pool.acquire((4, 2), np.float32)
-    assert [e for e, _ in seen] == ["allocated", "reused"]
-    assert all(free for _, free in seen), (
-        "observer invoked while the pool lock was held")
 
 
 def test_metrics_collectors_run_outside_registry_lock():

@@ -10,7 +10,7 @@ from repro.core import load_pipeline, make_design
 from repro.engine import ReadoutEngine
 from repro.experiments.drift_recovery import drifting_two_qubit_device
 from repro.readout import single_qubit_device
-from repro.serve import build_sharded_server
+from repro.serve import ServerConfig, build_sharded_server
 
 
 def make_simulator(magnitude=2.2, start_shot=0):
@@ -25,8 +25,9 @@ def make_server(simulator, seed=0):
     """An 'mf' server calibrated on the simulator's current truth."""
     calib = simulator.calibration_set(120, np.random.default_rng(seed))
     train, val, _ = calib.split(np.random.default_rng(seed + 1), 0.6, 0.15)
-    return build_sharded_server(("mf",), train, val, n_shards=1,
-                                max_wait_ms=0.5).start()
+    return build_sharded_server(
+        ("mf",), train, val, n_shards=1,
+        config=ServerConfig(max_wait_ms=0.5)).start()
 
 
 def fit_engine(simulator, seed=3):
@@ -115,8 +116,9 @@ class TestPerShardCycles:
         simulator = DriftingSimulator(drifting_two_qubit_device(), schedule)
         calib = simulator.calibration_set(100, np.random.default_rng(0))
         train, val, _ = calib.split(np.random.default_rng(1), 0.6, 0.15)
-        server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                      max_wait_ms=0.5).start()
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(max_wait_ms=0.5)).start()
         return simulator, server
 
     def test_recalibrate_shard_repairs_one_shard(self):
@@ -312,8 +314,9 @@ class TestCalibrationLoop:
         simulator = DriftingSimulator(drifting_two_qubit_device(), schedule)
         calib = simulator.calibration_set(100, np.random.default_rng(0))
         train, val, _ = calib.split(np.random.default_rng(1), 0.6, 0.15)
-        server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                      max_wait_ms=0.5).start()
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(max_wait_ms=0.5)).start()
         loop = CalibrationLoop(
             server, simulator,
             Recalibrator(server, calibration_shots_per_state=80),

@@ -9,7 +9,7 @@ from repro.calib import (CalibrationWorker, DriftAlarm, DriftingSimulator,
                          DriftSchedule, FidelityMonitor, ParameterDrift,
                          ProbeScheduler, Recalibrator)
 from repro.experiments.drift_recovery import drifting_two_qubit_device
-from repro.serve import build_sharded_server, closed_loop
+from repro.serve import ServerConfig, build_sharded_server, closed_loop
 
 
 def make_simulator(magnitude=0.0, start_shot=0, qubit=1, kind="step",
@@ -26,9 +26,9 @@ def make_server(simulator, seed=0):
     """A two-shard 'mf' server calibrated on the simulator's current truth."""
     calib = simulator.calibration_set(100, np.random.default_rng(seed))
     train, val, _ = calib.split(np.random.default_rng(seed + 1), 0.6, 0.15)
-    return build_sharded_server(("mf",), train, val, n_shards=2,
-                                max_batch_traces=128,
-                                max_wait_ms=0.5).start()
+    return build_sharded_server(
+        ("mf",), train, val, n_shards=2,
+        config=ServerConfig(max_batch_traces=128, max_wait_ms=0.5)).start()
 
 
 def dummy_alarm(detail="forced"):

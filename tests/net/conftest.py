@@ -14,6 +14,7 @@ import types
 import numpy as np
 import pytest
 
+from repro.engine import EngineStats
 from repro.net import ReadoutService
 from repro.readout.sharding import plan_feedlines
 from repro.serve import ReadoutServer, ServeShard, ServerConfig
@@ -24,19 +25,24 @@ class EchoEngine:
 
     design_names = ["mf"]
 
-    def predict_traces(self, demod, device):
-        return {"mf": (demod[:, :, 0, 0] > 0).astype(np.int64)}
+    def __init__(self):
+        self.stats = EngineStats()
+
+    def predict_traces_into(self, demod, device, out):
+        out["mf"][:] = demod[:, :, 0, 0] > 0
+        return out
 
 
 class GateEngine(EchoEngine):
     """Stub whose predictions block until the test opens the gate."""
 
     def __init__(self):
+        super().__init__()
         self.gate = threading.Event()
 
-    def predict_traces(self, demod, device):
+    def predict_traces_into(self, demod, device, out):
         self.gate.wait(30.0)
-        return super().predict_traces(demod, device)
+        return super().predict_traces_into(demod, device, out)
 
 
 def stub_server(engine=None, **knobs) -> ReadoutServer:

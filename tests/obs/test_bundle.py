@@ -87,14 +87,36 @@ class TestWriteDebugBundle:
             alerts = None
             flight_recorder = recorder
             last_health = {"healthy": True, "shards": []}
-            n_shards = 2
-            stopping = False
+            shards = ("shard0", "shard1")
 
         write_debug_bundle(str(tmp_path / "b"), FakeServer())
         loaded = load_bundle(str(tmp_path / "b"))
         assert loaded["health"]["healthy"] is True
-        assert loaded["manifest"]["server"]["type"] == "FakeServer"
+        assert loaded["manifest"]["server"] == {"type": "FakeServer",
+                                                "n_shards": 2}
         assert loaded["telemetry"]["series"]["serve.completed"]
+
+    def test_process_server_manifest_names_shards_and_pids(self, tmp_path,
+                                                           small_splits):
+        from repro.net import ReadoutService
+        from repro.serve import ServerConfig, build_sharded_server
+
+        train, val, _ = small_splits
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(backend="process"))
+        with server, ReadoutService(server) as service:
+            pids = server.backend.worker_pids
+            write_debug_bundle(str(tmp_path / "server"), server)
+            write_debug_bundle(str(tmp_path / "service"), service)
+        assert sorted(pids) == [0, 1] and all(pids.values())
+        for name in ("server", "service"):
+            summary = load_bundle(str(tmp_path / name))["manifest"]["server"]
+            assert summary["type"] == "ReadoutServer"
+            assert summary["n_shards"] == 2
+            assert summary["backend"] == "ProcessShardBackend"
+            assert summary["worker_pids"] == {str(i): pid
+                                              for i, pid in pids.items()}
 
 
 class TestLoadBundle:

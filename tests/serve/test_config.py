@@ -1,20 +1,19 @@
-"""ServerConfig façade: defaults, the legacy-kwarg shim, builder wiring."""
+"""ServerConfig façade: pinned defaults, the server's copy, builder wiring."""
 
 import dataclasses
 import types
 
-import numpy as np
 import pytest
 
 from repro.core import FAST_CONFIG
+from repro.engine import EngineStats
 from repro.readout.sharding import plan_feedlines
 from repro.serve import (ReadoutServer, ServeShard, ServerConfig,
                          build_sharded_server)
 
-#: The historical keyword defaults of ReadoutServer.__init__, frozen
-#: here on purpose: ServerConfig must keep them bit-for-bit so the
-#: redesign changes spelling, never behavior.
-LEGACY_DEFAULTS = {
+#: The server defaults, frozen here on purpose: a default that moves
+#: changes behaviour for every caller that omits the knob.
+PINNED_DEFAULTS = {
     "max_batch_traces": 256,
     "max_wait_ms": 2.0,
     "max_queue_requests": 1024,
@@ -22,7 +21,6 @@ LEGACY_DEFAULTS = {
     "trace_dtype": None,
     "latency_window": 8192,
     "backend": "thread",
-    "backend_options": None,
     "trace_sample_rate": 0.0,
     "flight_recorder": None,
     "metrics": None,
@@ -35,8 +33,12 @@ LEGACY_DEFAULTS = {
 class StubEngine:
     design_names = ["mf"]
 
-    def predict_traces(self, demod, device):
-        return {"mf": (demod[:, :, 0, 0] > 0).astype(np.int64)}
+    def __init__(self):
+        self.stats = EngineStats()
+
+    def predict_traces_into(self, demod, device, out):
+        out["mf"][:] = demod[:, :, 0, 0] > 0
+        return out
 
 
 def one_shard():
@@ -46,52 +48,19 @@ def one_shard():
 
 
 class TestDefaults:
-    def test_defaults_match_the_legacy_constructor(self):
+    def test_defaults_are_pinned(self):
         config = ServerConfig()
         for field in dataclasses.fields(ServerConfig):
-            assert field.name in LEGACY_DEFAULTS, (
-                f"new knob {field.name!r}: add it to LEGACY_DEFAULTS "
+            assert field.name in PINNED_DEFAULTS, (
+                f"new knob {field.name!r}: add it to PINNED_DEFAULTS "
                 f"deliberately, with its default pinned")
             assert getattr(config, field.name) \
-                == LEGACY_DEFAULTS[field.name], field.name
-        assert len(dataclasses.fields(ServerConfig)) == len(LEGACY_DEFAULTS)
+                == PINNED_DEFAULTS[field.name], field.name
+        assert len(dataclasses.fields(ServerConfig)) == len(PINNED_DEFAULTS)
 
-    def test_no_arguments_builds_default_config_without_warning(self):
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            server = ReadoutServer(one_shard())
+    def test_no_config_builds_the_default_config(self):
+        server = ReadoutServer(one_shard())
         assert server.config == ServerConfig()
-
-
-class TestLegacyShim:
-    def test_legacy_kwargs_land_on_the_same_config(self):
-        """The satellite pin: every legacy keyword folds into the
-        identical ServerConfig the redesigned spelling produces."""
-        knobs = {"max_batch_traces": 128, "max_wait_ms": 0.5,
-                 "max_queue_requests": 64, "overload": "shed",
-                 "trace_dtype": np.float32, "latency_window": 256,
-                 "trace_sample_rate": 0.25}
-        with pytest.warns(DeprecationWarning, match="ServerConfig"):
-            legacy = ReadoutServer(one_shard(), **knobs)
-        modern = ReadoutServer(one_shard(), ServerConfig(**knobs))
-        assert legacy.config == modern.config == ServerConfig(**knobs)
-        # And the knobs observably took effect on both.
-        for server in (legacy, modern):
-            assert server.max_batch_traces == 128
-            assert server.trace_dtype == np.dtype(np.float32)
-
-    def test_mixing_config_and_kwargs_is_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            ReadoutServer(one_shard(), ServerConfig(), max_wait_ms=1.0)
-
-    def test_unknown_kwarg_is_rejected(self):
-        with pytest.raises(TypeError, match="max_wait_msec"):
-            ReadoutServer(one_shard(), max_wait_msec=1.0)
-
-    def test_non_config_positional_is_rejected(self):
-        with pytest.raises(TypeError, match="must be a ServerConfig"):
-            ReadoutServer(one_shard(), {"max_wait_ms": 1.0})
 
     def test_config_is_kept_on_the_server(self):
         config = ServerConfig(max_wait_ms=0.25)
@@ -112,21 +81,3 @@ class TestBuilderWiring:
         assert server.config.max_wait_ms == 0.5
         assert server.config.max_batch_traces == 64
         assert len(server.shards) == 2
-
-    def test_builder_rejects_config_plus_legacy(self, splits):
-        train, val, _ = splits
-        with pytest.raises(TypeError, match="not both"):
-            build_sharded_server(("mf",), train, val, n_shards=1,
-                                 training=FAST_CONFIG,
-                                 config=ServerConfig(), max_wait_ms=1.0)
-        with pytest.raises(TypeError, match="not both"):
-            build_sharded_server(("mf",), train, val, n_shards=1,
-                                 training=FAST_CONFIG,
-                                 config=ServerConfig(), backend="process")
-
-    def test_builder_legacy_kwargs_fold_into_config(self, splits):
-        train, val, _ = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      training=FAST_CONFIG,
-                                      max_wait_ms=0.5)
-        assert server.config == ServerConfig(max_wait_ms=0.5)

@@ -8,7 +8,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import HealthReport, ShardHealth, build_sharded_server
+from repro.serve import (HealthReport, ServerConfig, ShardHealth,
+                         build_sharded_server)
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +21,7 @@ def splits(request):
 def thread_server(splits):
     train, val, _ = splits
     server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                  max_wait_ms=0.5)
+                                  config=ServerConfig(max_wait_ms=0.5))
     with server:
         yield server
 
@@ -75,7 +76,7 @@ class TestThreadBackend:
         # request (and lazily start the server).
         train, val, _ = splits
         server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      max_wait_ms=0.5)
+                                      config=ServerConfig(max_wait_ms=0.5))
         with server:
             report = server.healthcheck(budget_s=10.0)
         assert report.healthy
@@ -83,7 +84,7 @@ class TestThreadBackend:
     def test_stopped_server_reports_unhealthy(self, splits):
         train, val, _ = splits
         server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      max_wait_ms=0.5)
+                                      config=ServerConfig(max_wait_ms=0.5))
         with server:
             server.predict(np.zeros_like(server._probe_traces()))
         report = server.healthcheck(budget_s=2.0)
@@ -95,8 +96,9 @@ class TestThreadBackend:
 class TestProcessBackend:
     def test_healthy_then_killed_worker_flagged(self, splits):
         train, val, _ = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                      backend="process", max_wait_ms=0.5)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(backend="process", max_wait_ms=0.5))
         with server:
             report = server.healthcheck(budget_s=30.0)
             assert report.healthy

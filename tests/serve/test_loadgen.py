@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve import closed_loop, open_loop
+from repro.serve import ServerConfig, closed_loop, open_loop
 from repro.serve.loadgen import LoadReport, _payloads
 
 
@@ -12,7 +12,7 @@ def served(request):
     from repro.serve import build_sharded_server
     train, val, test = request.getfixturevalue("small_splits")
     server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                  max_wait_ms=0.5)
+                                  config=ServerConfig(max_wait_ms=0.5))
     with server:
         yield server, test
 
@@ -85,6 +85,7 @@ class TestOpenLoop:
 
 class TestFailureAccounting:
     def test_engine_failures_are_counted_not_fatal(self, small_splits):
+        from repro.engine import EngineStats
         from repro.readout import plan_feedlines
         from repro.serve import ReadoutServer, ServeShard
 
@@ -92,13 +93,14 @@ class TestFailureAccounting:
 
         class _FailingEngine:
             design_names = ["mf"]
+            stats = EngineStats()
 
-            def predict_traces(self, demod, device):
+            def predict_traces_into(self, demod, device, out):
                 raise RuntimeError("shard exploded")
 
         shard = ServeShard(feedline=plan_feedlines(test.n_qubits, 1)[0],
                            engine=_FailingEngine(), device=test.device)
-        with ReadoutServer([shard], max_wait_ms=0.0) as server:
+        with ReadoutServer([shard], ServerConfig(max_wait_ms=0.0)) as server:
             report = closed_loop(server, test, n_clients=2,
                                  requests_per_client=4, seed=6)
         assert report.completed == 0

@@ -17,12 +17,25 @@ import pytest
 from repro.calib.monitors import ScoreDriftMonitor
 from repro.calib.recalibrator import Recalibrator, attach_score_monitors
 from repro.core import FAST_CONFIG, make_design
-from repro.engine import ReadoutEngine
+from repro.engine import EngineStats, ReadoutEngine
 from repro.readout import generate_dataset, plan_feedlines
 from repro.serve import (ProcessShardBackend, ReadoutServer, ServeShard,
-                        ServerClosedError, ThreadShardBackend,
+                        ServerClosedError, ServerConfig, ThreadShardBackend,
                         build_sharded_server)
 from repro.serve.procshard import engine_to_spec
+
+
+class _StubEngine:
+    """A ShardEngine that is no ReadoutEngine: nothing to ship to a worker."""
+
+    design_names = ["mf"]
+
+    def __init__(self):
+        self.stats = EngineStats()
+
+    def predict_traces_into(self, demod, device, out):
+        out["mf"][:] = 0
+        return out
 
 
 @pytest.fixture(scope="module")
@@ -34,8 +47,9 @@ def splits(request):
 def process_server(splits):
     """A 2-shard process-backend server over the deterministic 'mf' design."""
     train, val, _ = splits
-    server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                  backend="process", max_wait_ms=0.5)
+    server = build_sharded_server(
+        ("mf",), train, val, n_shards=2,
+        config=ServerConfig(backend="process", max_wait_ms=0.5))
     with server:
         yield server
 
@@ -45,7 +59,7 @@ def thread_reference_bits(splits):
     """The same fitted service on the thread backend: the parity oracle."""
     train, val, test = splits
     server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                  max_wait_ms=0.5)
+                                  config=ServerConfig(max_wait_ms=0.5))
     with server:
         return server.predict(test.demod[:60]).bits_for("mf")
 
@@ -142,8 +156,9 @@ class TestHooksMirroring:
 class TestHotSwap:
     def test_swap_ships_serialized_pipelines_to_the_worker(self, splits):
         train, val, test = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      backend="process", max_wait_ms=0.5)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=1,
+            config=ServerConfig(backend="process", max_wait_ms=0.5))
         # A replacement fitted on different data: its parent-side
         # predictions are the oracle for what the worker must serve.
         half = train.subset(np.arange(train.n_traces // 2))
@@ -162,11 +177,8 @@ class TestHotSwap:
         assert server.backend.exit_codes == {0: 0}
 
     def test_swap_rejects_unserializable_engine(self, process_server, splits):
-        class _Stub:
-            design_names = ["mf"]
-
         with pytest.raises(ValueError, match="pipelines"):
-            process_server.swap_engine(0, _Stub())
+            process_server.swap_engine(0, _StubEngine())
         # The failed swap never half-applied: versions are untouched.
         assert 0 not in process_server.stats.model_versions
 
@@ -175,8 +187,9 @@ class TestHotSwap:
         # refit, validate through the live (process-backed) serve path,
         # and promote via the swap-over-pickle path.
         train, val, test = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                      backend="process", max_wait_ms=0.5)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(backend="process", max_wait_ms=0.5))
         device = test.device
         with server:
             recalibrator = Recalibrator(server,
@@ -197,19 +210,11 @@ class TestHotSwap:
 class TestStartupValidation:
     def test_stub_engines_rejected_before_spawning(self, splits):
         train, _, _ = splits
-
-        class _Stub:
-            design_names = ["mf"]
-
-            def predict_traces(self, demod, device):
-                return {"mf": np.zeros((demod.shape[0], demod.shape[1]),
-                                       dtype=np.int64)}
-
         [feedline] = plan_feedlines(train.n_qubits, 1)
         server = ReadoutServer(
-            [ServeShard(feedline=feedline, engine=_Stub(),
+            [ServeShard(feedline=feedline, engine=_StubEngine(),
                         device=train.device)],
-            backend="process")
+            ServerConfig(backend="process"))
         with pytest.raises(ValueError, match="pipelines"):
             server.start()
         server.stop()
@@ -217,31 +222,26 @@ class TestStartupValidation:
     def test_unknown_backend_rejected(self, splits):
         train, val, _ = splits
         with pytest.raises(ValueError, match="backend must be one of"):
-            build_sharded_server(("mf",), train, val, backend="fiber")
-
-    def test_backend_options_reach_the_backend(self, splits):
-        train, val, _ = splits
-        with pytest.raises(ValueError, match="ring_slots"):
-            build_sharded_server(("mf",), train, val, backend="process",
-                                 backend_options={"ring_slots": 0})
-
-    def test_backend_instance_refuses_stray_options(self, splits):
-        train, val, _ = splits
-        with pytest.raises(ValueError, match="backend_options"):
             build_sharded_server(("mf",), train, val,
-                                 backend=ThreadShardBackend(),
-                                 backend_options={"ring_slots": 2})
+                                 config=ServerConfig(backend="fiber"))
+
+    def test_backend_instance_validates_its_options(self):
+        with pytest.raises(ValueError, match="ring_slots"):
+            ProcessShardBackend(ring_slots=0)
+        with pytest.raises(ValueError, match="coalesce_batches"):
+            ProcessShardBackend(coalesce_batches=0)
 
     def test_backend_instance_is_single_use(self, splits):
         # A prebuilt backend bound to one server must refuse a second:
         # reuse would fan batches across both servers' shard workers.
         train, val, test = splits
         backend = ThreadShardBackend()
-        first = build_sharded_server(("mf",), train, val, backend=backend)
+        first = build_sharded_server(("mf",), train, val,
+                                     config=ServerConfig(backend=backend))
         with first:
             first.predict(test.demod[0])
-            second = build_sharded_server(("mf",), train, val,
-                                          backend=backend)
+            second = build_sharded_server(
+                ("mf",), train, val, config=ServerConfig(backend=backend))
             with pytest.raises(RuntimeError, match="one server"):
                 second.start()
 
@@ -249,8 +249,9 @@ class TestStartupValidation:
 class TestLifecycle:
     def test_stop_reaps_children_with_clean_exit_codes(self, splits):
         train, val, test = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                      backend="process", max_wait_ms=0.5)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(backend="process", max_wait_ms=0.5))
         with server:
             server.predict(test.demod[0])
             pids = dict(server.backend.worker_pids)
@@ -269,7 +270,7 @@ class TestLifecycle:
     def test_stop_is_idempotent(self, splits):
         train, val, _ = splits
         server = build_sharded_server(("mf",), train, val,
-                                      backend="process")
+                                      config=ServerConfig(backend="process"))
         server.start()
         server.stop()
         server.stop()
@@ -282,9 +283,10 @@ class TestLifecycle:
         # always lands before any of the burst got an answer. Once that
         # batch sits in worker 1's ring, its failure (and so the first
         # future's) comes after the death is counted.
-        server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                      backend="process",
-                                      max_batch_traces=256, max_wait_ms=50.0)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(backend="process", max_batch_traces=256,
+                                max_wait_ms=50.0))
         with server:
             server.predict(test.demod[0], timeout=30)     # warm and live
             victim = server.backend.worker_pids[1]
@@ -329,11 +331,12 @@ class TestQuantizedPath:
         # whether the shard engines run in threads or worker processes.
         train, val, test = splits
         thread_server = build_sharded_server(
-            ("mf",), train, val, n_shards=2, max_wait_ms=0.5,
-            trace_dtype=np.float16)
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(max_wait_ms=0.5, trace_dtype=np.float16))
         process_server = build_sharded_server(
-            ("mf",), train, val, n_shards=2, max_wait_ms=0.5,
-            backend="process", trace_dtype=np.float16)
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(max_wait_ms=0.5, backend="process",
+                                trace_dtype=np.float16))
         with thread_server:
             via_threads = thread_server.predict(
                 test.demod[:40], timeout=30).bits_for("mf")
@@ -350,9 +353,10 @@ class TestRingCoalescing:
         # strictly fewer ring flushes than batches dispatched.
         train, val, test = splits
         server = build_sharded_server(
-            ("mf",), train, val, n_shards=1, backend="process",
-            max_batch_traces=4, max_wait_ms=0.0,
-            backend_options={"ring_slots": 1, "coalesce_batches": 4})
+            ("mf",), train, val, n_shards=1,
+            config=ServerConfig(
+                backend=ProcessShardBackend(ring_slots=1, coalesce_batches=4),
+                max_batch_traces=4, max_wait_ms=0.0))
         with server:
             futures = [server.submit(test.demod[i % test.n_traces])
                        for i in range(64)]
@@ -369,9 +373,10 @@ class TestRingCoalescing:
     def test_coalescing_disabled_maps_one_batch_per_flush(self, splits):
         train, val, test = splits
         server = build_sharded_server(
-            ("mf",), train, val, n_shards=1, backend="process",
-            max_batch_traces=4, max_wait_ms=0.0,
-            backend_options={"coalesce_batches": 1})
+            ("mf",), train, val, n_shards=1,
+            config=ServerConfig(
+                backend=ProcessShardBackend(coalesce_batches=1),
+                max_batch_traces=4, max_wait_ms=0.0))
         with server:
             for i in range(8):
                 server.predict(test.demod[i], timeout=30)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from repro.core import make_design
-from repro.engine import ReadoutEngine
+from repro.engine import EngineStats, ReadoutEngine
 from repro.readout import plan_feedlines
 from repro.serve import (ReadoutServer, ServeShard, ServerClosedError,
-                         ServerOverloadedError, build_sharded_server)
+                         ServerConfig, ServerOverloadedError,
+                         build_sharded_server)
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,8 @@ def sharded_server(splits):
     """A 2-shard float64 server over the deterministic 'mf' design."""
     train, val, _ = splits
     server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                  dtype=np.float64, max_wait_ms=0.5)
+                                  dtype=np.float64,
+                                  config=ServerConfig(max_wait_ms=0.5))
     with server:
         yield server
 
@@ -163,20 +165,44 @@ class _SlowEngine:
     def __init__(self, delay_s=0.02, fail=False):
         self.delay_s = delay_s
         self.fail = fail
+        self.stats = EngineStats()
 
-    def predict_traces(self, demod, device):
+    def predict_traces_into(self, demod, device, out):
         time.sleep(self.delay_s)
         if self.fail:
             raise RuntimeError("shard exploded")
-        return {"mf": np.zeros((demod.shape[0], demod.shape[1]),
-                               dtype=np.int64)}
+        out["mf"][:] = 0
+        return out
 
 
-def _stub_server(device, **kwargs):
+def _stub_server(device, engine=None, **knobs):
     shard = ServeShard(feedline=plan_feedlines(device.n_qubits, 1)[0],
-                       engine=kwargs.pop("engine", _SlowEngine()),
+                       engine=_SlowEngine() if engine is None else engine,
                        device=device)
-    return ReadoutServer([shard], **kwargs)
+    return ReadoutServer([shard], ServerConfig(**knobs))
+
+
+class TestEngineContract:
+    def test_predict_traces_only_engine_is_refused(self, splits):
+        # The ShardEngine check runs where an engine enters: at
+        # construction and at every swap, before any state changes.
+        _, _, test = splits
+
+        class _PredictTracesOnly:
+            design_names = ["mf"]
+
+            def predict_traces(self, demod, device):
+                return {"mf": np.zeros((demod.shape[0], demod.shape[1]),
+                                       dtype=np.int64)}
+
+        with pytest.raises(TypeError, match="ShardEngine"):
+            _stub_server(test.device, engine=_PredictTracesOnly())
+        server = _stub_server(test.device, max_wait_ms=0.1)
+        with server:
+            with pytest.raises(TypeError, match="ShardEngine"):
+                server.swap_engine(0, _PredictTracesOnly())
+            assert server.stats.snapshot()["swaps"] == 0
+            assert server.predict(test.demod[0]).bits_for("mf").shape == (5,)
 
 
 class TestBackpressure:
@@ -263,7 +289,7 @@ class TestResponseAccess:
     def test_implicit_design_requires_sole_design(self, splits):
         train, val, test = splits
         server = build_sharded_server(("mf", "centroid"), train, val,
-                                      max_wait_ms=0.5)
+                                      config=ServerConfig(max_wait_ms=0.5))
         with server:
             response = server.predict(test.demod[0])
             with pytest.raises(ValueError, match="name one"):
@@ -292,10 +318,11 @@ class TestHotSwap:
 
             def __init__(self, value):
                 self.value = value
+                self.stats = EngineStats()
 
-            def predict_traces(self, demod, device):
-                return {"mf": np.full((demod.shape[0], demod.shape[1]),
-                                      self.value, dtype=np.int64)}
+            def predict_traces_into(self, demod, device, out):
+                out["mf"][:] = self.value
+                return out
 
         server = _stub_server(test.device, engine=_ConstantEngine(0),
                               max_wait_ms=0.1)
@@ -311,8 +338,9 @@ class TestHotSwap:
         # Hammer the server while swapping between two fitted engines:
         # every request resolves, zero failures, versions advance.
         train, val, test = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      max_batch_traces=8, max_wait_ms=0.2)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=1,
+            config=ServerConfig(max_batch_traces=8, max_wait_ms=0.2))
         engines = [ReadoutEngine({"mf": make_design("mf").fit(train, val)})
                    for _ in range(2)]
         with server:
@@ -470,11 +498,12 @@ class TestLifecycle:
 
             def __init__(self):
                 self.gate = threading.Event()
+                self.stats = EngineStats()
 
-            def predict_traces(self, demod, device):
+            def predict_traces_into(self, demod, device, out):
                 assert self.gate.wait(10)
-                return {"mf": np.zeros((demod.shape[0], demod.shape[1]),
-                                       dtype=np.int64)}
+                out["mf"][:] = 0
+                return out
 
         engine = _GateEngine()
         server = _stub_server(test.device, engine=engine,
@@ -491,7 +520,7 @@ class TestLifecycle:
             assert pool.free_count() == 1     # recycled, nobody saw it
             # The next live request reuses that very slab...
             response = server.predict(test.demod[:2], timeout=10)
-            assert server.stats.response_slab_reused == 1
+            assert server.stats.snapshot()["response_slab_reused"] == 1
             # ...and keeps it: its views escaped to the client.
             assert response.bits_for("mf").shape == (2, test.n_qubits)
             assert pool.free_count() == 0
@@ -504,9 +533,9 @@ class TestHotPathMemory:
         # and is served alone — interleaved with slab-sized traffic, every
         # response must still match the per-shard reference bit for bit.
         train, val, test = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                      dtype=np.float64, max_batch_traces=8,
-                                      max_wait_ms=0.5)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=2, dtype=np.float64,
+            config=ServerConfig(max_batch_traces=8, max_wait_ms=0.5))
         with server:
             small_a = server.submit(test.demod[:3])
             oversized = server.submit(test.demod[:20])   # > 8: slab bypass
@@ -542,11 +571,11 @@ class TestHotPathMemory:
 
     def test_float16_trace_path_serves_quantized_slabs(self, splits):
         train, val, test = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                      max_wait_ms=0.5,
-                                      trace_dtype=np.float16)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(max_wait_ms=0.5, trace_dtype=np.float16))
         reference = build_sharded_server(("mf",), train, val, n_shards=2,
-                                         max_wait_ms=0.5)
+                                         config=ServerConfig(max_wait_ms=0.5))
         assert server.trace_dtype == np.dtype(np.float16)
         with server, reference:
             quantized = server.predict(test.demod[:40], timeout=10)

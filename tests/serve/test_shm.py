@@ -18,34 +18,32 @@ def ring():
 class TestRoundTrip:
     def test_request_round_trip_is_bit_exact(self, ring):
         batch = np.random.default_rng(0).normal(size=(5, 3, 2, 10))
-        n = ring.write_request(1, batch)
+        n = ring.write_request_at(1, 0, batch)
         assert n == 5
         np.testing.assert_array_equal(ring.request_view(1, 5), batch)
 
     def test_response_round_trip_per_design(self, ring):
+        # The worker writes each design's bits through response views (as
+        # predict_traces_into does); the parent reads them back the same way.
         rng = np.random.default_rng(1)
         bits = {"mf": rng.integers(0, 2, (5, 3)),
                 "centroid": rng.integers(0, 2, (5, 3))}
-        ring.write_response(0, bits, ("mf", "centroid"))
-        out = ring.read_response(0, 5, ("mf", "centroid"))
-        np.testing.assert_array_equal(out["mf"], bits["mf"])
-        np.testing.assert_array_equal(out["centroid"], bits["centroid"])
+        for d, name in enumerate(("mf", "centroid")):
+            ring.response_view(0, d, 0, 5)[:] = bits[name]
+        for d, name in enumerate(("mf", "centroid")):
+            np.testing.assert_array_equal(ring.response_view(0, d, 0, 5),
+                                          bits[name])
 
     def test_slots_do_not_alias(self, ring):
         a = np.zeros((8, 3, 2, 10))
         b = np.ones((8, 3, 2, 10))
-        ring.write_request(0, a)
-        ring.write_request(1, b)
+        ring.write_request_at(0, 0, a)
+        ring.write_request_at(1, 0, b)
         np.testing.assert_array_equal(ring.request_view(0, 8), a)
         np.testing.assert_array_equal(ring.request_view(1, 8), b)
-
-    def test_read_response_copies(self, ring):
-        bits = {"mf": np.ones((4, 3), dtype=np.int64)}
-        ring.write_response(0, bits, ("mf",))
-        out = ring.read_response(0, 4, ("mf",))
-        ring.write_response(0, {"mf": np.zeros((4, 3), dtype=np.int64)},
-                            ("mf",))
-        np.testing.assert_array_equal(out["mf"], 1)   # unaffected snapshot
+        ring.response_view(0, 0, 0, 8)[:] = 1
+        ring.response_view(1, 0, 0, 8)[:] = 0
+        np.testing.assert_array_equal(ring.response_view(0, 0, 0, 8), 1)
 
     def test_segmented_writes_compose_one_contiguous_batch(self, ring):
         # The coalescing submit path: two micro-batches packed back to
@@ -71,28 +69,26 @@ class TestRoundTrip:
             ring.write_request_at(0, -1, np.zeros((1, 3, 2, 10)))
 
     def test_response_view_is_zero_copy_per_segment(self, ring):
-        bits = {"mf": np.arange(15).reshape(5, 3),
-                "centroid": np.zeros((5, 3), dtype=np.int64)}
-        ring.write_response(0, bits, ("mf", "centroid"))
+        ring.response_view(0, 0, 0, 5)[:] = np.arange(15).reshape(5, 3)
         view = ring.response_view(0, 0, 2, 3)      # design 0, rows 2..4
-        np.testing.assert_array_equal(view, bits["mf"][2:5])
+        np.testing.assert_array_equal(view, np.arange(6, 15).reshape(3, 3))
         view[:] = -1                                # writes through
-        np.testing.assert_array_equal(
-            ring.read_response(0, 5, ("mf",))["mf"][2:], -1)
+        np.testing.assert_array_equal(ring.response_view(0, 0, 0, 5)[2:], -1)
+        np.testing.assert_array_equal(ring.response_view(0, 0, 0, 2),
+                                      np.arange(6).reshape(2, 3))
 
 
 class TestAttach:
     def test_attached_ring_shares_memory(self, ring):
         batch = np.random.default_rng(2).normal(size=(3, 3, 2, 10))
-        ring.write_request(0, batch)
+        ring.write_request_at(0, 0, batch)
         other = TraceRing.attach(ring.spec.as_dict())
         try:
             np.testing.assert_array_equal(other.request_view(0, 3), batch)
-            other.write_response(0, {"x": np.ones((3, 3), dtype=np.int64),
-                                     "y": np.zeros((3, 3), dtype=np.int64)},
-                                 ("x", "y"))
-            out = ring.read_response(0, 3, ("x", "y"))
-            np.testing.assert_array_equal(out["x"], 1)
+            other.response_view(0, 0, 0, 3)[:] = 1
+            other.response_view(0, 1, 0, 3)[:] = 0
+            np.testing.assert_array_equal(ring.response_view(0, 0, 0, 3), 1)
+            np.testing.assert_array_equal(ring.response_view(0, 1, 0, 3), 0)
         finally:
             other.close()
 
@@ -101,19 +97,16 @@ class TestAttach:
         other.unlink()               # non-owner: must be a no-op
         other.close()
         # The segment is still usable by the owner.
-        ring.write_request(0, np.zeros((1, 3, 2, 10)))
+        ring.write_request_at(0, 0, np.zeros((1, 3, 2, 10)))
 
 
 class TestFit:
     def test_fits_checks_count_shape_and_dtype(self, ring):
-        assert ring.fits(np.zeros((8, 3, 2, 10)))
-        assert not ring.fits(np.zeros((9, 3, 2, 10)))      # too many traces
-        assert not ring.fits(np.zeros((4, 3, 2, 12)))      # wrong bins
-        assert not ring.fits(np.zeros((4, 3, 2, 10), dtype=np.float32))
-
-    def test_oversized_write_rejected(self, ring):
-        with pytest.raises(ValueError, match="does not fit"):
-            ring.write_request(0, np.zeros((9, 3, 2, 10)))
+        batch = np.zeros((4, 3, 2, 10))
+        assert ring.fits(batch, 8)                  # a coalesced group
+        assert not ring.fits(batch, 9)              # too many traces
+        assert not ring.fits(np.zeros((4, 3, 2, 12)), 4)      # wrong bins
+        assert not ring.fits(np.zeros((4, 3, 2, 10), dtype=np.float32), 4)
 
 
 class TestValidation:

@@ -61,14 +61,16 @@ class TestSlabPool:
         held = [pool.acquire((8,), np.float64) for _ in range(2)]
         assert all(s is not None for s in held)  # leak did not pin the bound
 
-    def test_observer_sees_every_event(self):
-        events = []
-        pool = SlabPool(max_outstanding=1, observer=events.append)
+    def test_counts_every_acquire_outcome(self):
+        pool = SlabPool(max_outstanding=1)
+        assert pool.counts() == {"allocated": 0, "reused": 0,
+                                 "fallbacks": 0}
         slab = pool.acquire((4,), np.float64)
         pool.acquire((4,), np.float64)           # at bound -> fallback
         pool.release(slab)
         pool.acquire((4,), np.float64)
-        assert events == ["allocated", "fallback", "reused"]
+        assert pool.counts() == {"allocated": 1, "reused": 1,
+                                 "fallbacks": 1}
 
     def test_defaults_are_sane(self):
         pool = SlabPool()

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve import ServerStats
+from repro.serve import ServerStats, SlabPool
 
 
 class TestPercentiles:
@@ -112,13 +112,19 @@ class TestBatchAccounting:
 
 
 class TestHotPathCounters:
-    def test_slab_events_split_by_pool_and_kind(self):
-        stats = ServerStats()
-        stats.record_slab("trace", "allocated")
-        stats.record_slab("trace", "reused")
-        stats.record_slab("trace", "reused")
-        stats.record_slab("response", "allocated")
-        stats.record_slab("response", "fallback")
+    def test_slab_counts_are_read_from_the_pools(self):
+        trace_pool = SlabPool()
+        response_pool = SlabPool(max_outstanding=1)
+        stats = ServerStats(trace_pool=trace_pool,
+                            response_pool=response_pool)
+        slab = trace_pool.acquire((4,), np.float64)        # allocated
+        trace_pool.release(slab)
+        slab = trace_pool.acquire((4,), np.float64)        # reused
+        trace_pool.release(slab)
+        trace_pool.acquire((4,), np.float64)               # reused
+        held = response_pool.acquire((4,), np.int64)       # allocated
+        assert response_pool.acquire((4,), np.int64) is None  # fallback
+        assert held is not None
         snapshot = stats.snapshot()
         assert snapshot["trace_slab_allocated"] == 1
         assert snapshot["trace_slab_reused"] == 2

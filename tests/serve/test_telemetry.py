@@ -12,7 +12,7 @@ from repro.calib import (CalibrationWorker, DriftingSimulator,
                          DriftSchedule, Recalibrator)
 from repro.experiments.drift_recovery import drifting_two_qubit_device
 from repro.obs import SeriesRule, load_bundle, render_console
-from repro.serve import build_sharded_server
+from repro.serve import ServerConfig, build_sharded_server
 from repro.serve.loadgen import closed_loop
 
 
@@ -25,7 +25,7 @@ class TestServerWiring:
     def test_monitoring_off_by_default(self, splits):
         train, val, _ = splits
         server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      max_wait_ms=0.5)
+                                      config=ServerConfig(max_wait_ms=0.5))
         assert server.telemetry is None
         assert server.alerts is None
 
@@ -33,16 +33,16 @@ class TestServerWiring:
         train, val, _ = splits
         with pytest.raises(ValueError):
             build_sharded_server(("mf",), train, val, n_shards=1,
-                                 bundle_dir="/tmp/x")
+                                 config=ServerConfig(bundle_dir="/tmp/x"))
         with pytest.raises(ValueError):
             build_sharded_server(("mf",), train, val, n_shards=1,
-                                 alert_rules=[])
+                                 config=ServerConfig(alert_rules=[]))
 
     def test_sampler_lifecycle_follows_server(self, splits, tmp_path):
         train, val, test = splits
         server = build_sharded_server(
-            ("mf",), train, val, n_shards=2, max_wait_ms=0.5,
-            telemetry_interval_s=0.02)
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(max_wait_ms=0.5, telemetry_interval_s=0.02))
         with server:
             assert server.telemetry.running
             closed_loop(server, test, n_clients=2, requests_per_client=5)
@@ -72,8 +72,8 @@ class TestServerWiring:
         calib = simulator.calibration_set(100, np.random.default_rng(5))
         train, val, _ = calib.split(np.random.default_rng(6), 0.6, 0.15)
         server = build_sharded_server(
-            ("mf",), train, val, n_shards=2, max_wait_ms=0.5,
-            telemetry_interval_s=0.02)
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(max_wait_ms=0.5, telemetry_interval_s=0.02))
         recalibrator = Recalibrator(server, calibration_shots_per_state=60)
         worker = CalibrationWorker(server, recalibrator, simulator,
                                    poll_interval_s=0.005)
@@ -98,9 +98,11 @@ class TestWorkerDeathAlert:
         train, val, test = splits
         bundle_root = str(tmp_path / "bundles")
         server = build_sharded_server(
-            ("mf",), train, val, n_shards=2, backend="process",
-            max_wait_ms=0.5, telemetry_interval_s=0.02,
-            trace_sample_rate=0.25, bundle_dir=bundle_root)
+            ("mf",), train, val, n_shards=2,
+            config=ServerConfig(backend="process", max_wait_ms=0.5,
+                                telemetry_interval_s=0.02,
+                                trace_sample_rate=0.25,
+                                bundle_dir=bundle_root))
         with server:
             closed_loop(server, test, n_clients=2, requests_per_client=5)
             report = server.healthcheck(budget_s=30.0)
@@ -153,8 +155,9 @@ class TestCustomRules:
         rule = SeriesRule("any_traffic", "serve.completed", 0.0,
                           mode="delta", window_s=60.0)
         server = build_sharded_server(
-            ("mf",), train, val, n_shards=1, max_wait_ms=0.5,
-            telemetry_interval_s=0.02, alert_rules=[rule])
+            ("mf",), train, val, n_shards=1,
+            config=ServerConfig(max_wait_ms=0.5, telemetry_interval_s=0.02,
+                                alert_rules=[rule]))
         with server:
             assert [r.name for r in server.alerts.rules] == ["any_traffic"]
             closed_loop(server, test, n_clients=1, requests_per_client=3)
@@ -170,7 +173,7 @@ class TestHealthCaching:
     def test_last_health_none_until_probed(self, splits):
         train, val, _ = splits
         server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      max_wait_ms=0.5)
+                                      config=ServerConfig(max_wait_ms=0.5))
         assert server.last_health is None
         with server:
             report = server.healthcheck(budget_s=10.0)
@@ -179,9 +182,9 @@ class TestHealthCaching:
     def test_probe_geometry_unchanged(self, splits):
         # The monitoring additions must not disturb the probe path.
         train, val, _ = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      max_wait_ms=0.5,
-                                      telemetry_interval_s=0.05)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=1,
+            config=ServerConfig(max_wait_ms=0.5, telemetry_interval_s=0.05))
         with server:
             probe = server._probe_traces()
             assert probe.shape[1] == server.n_qubits

@@ -10,7 +10,8 @@ the trace ring's id headers.
 import numpy as np
 import pytest
 
-from repro.serve import build_sharded_server
+from repro.serve import (ProcessShardBackend, ServerConfig,
+                         build_sharded_server)
 
 #: Tolerated uncovered time between adjacent instrumentation points.
 #: Real micro-gaps are a few microseconds (the time between one span's
@@ -31,8 +32,9 @@ def splits(request):
 @pytest.fixture(scope="module")
 def traced_thread_server(splits):
     train, val, _ = splits
-    server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                  max_wait_ms=0.5, trace_sample_rate=1.0)
+    server = build_sharded_server(
+        ("mf",), train, val, n_shards=2,
+        config=ServerConfig(max_wait_ms=0.5, trace_sample_rate=1.0))
     with server:
         yield server
 
@@ -40,9 +42,10 @@ def traced_thread_server(splits):
 @pytest.fixture(scope="module")
 def traced_process_server(splits):
     train, val, _ = splits
-    server = build_sharded_server(("mf",), train, val, n_shards=2,
-                                  backend="process", max_wait_ms=0.5,
-                                  trace_sample_rate=1.0)
+    server = build_sharded_server(
+        ("mf",), train, val, n_shards=2,
+        config=ServerConfig(backend="process", max_wait_ms=0.5,
+                            trace_sample_rate=1.0))
     with server:
         yield server
 
@@ -104,9 +107,9 @@ class TestThreadBackendTracing:
 class TestSampling:
     def test_fractional_sampling_under_load(self, splits):
         train, val, test = splits
-        server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      max_wait_ms=0.5,
-                                      trace_sample_rate=0.25)
+        server = build_sharded_server(
+            ("mf",), train, val, n_shards=1,
+            config=ServerConfig(max_wait_ms=0.5, trace_sample_rate=0.25))
         with server:
             futures = [server.submit(test.demod[i % 8]) for i in range(40)]
             for future in futures:
@@ -117,7 +120,7 @@ class TestSampling:
     def test_rate_zero_records_nothing(self, splits):
         train, val, test = splits
         server = build_sharded_server(("mf",), train, val, n_shards=1,
-                                      max_wait_ms=0.5)
+                                      config=ServerConfig(max_wait_ms=0.5))
         with server:
             server.predict(test.demod[:4])
             assert server.flight_recorder.recorded == 0
@@ -168,9 +171,10 @@ class TestProcessBackendTracing:
         """Batches packed into one ring slot keep per-request traces."""
         train, val, test = splits
         server = build_sharded_server(
-            ("mf",), train, val, n_shards=1, backend="process",
-            max_wait_ms=0.0, max_batch_traces=2, trace_sample_rate=1.0,
-            backend_options={"coalesce_batches": 4})
+            ("mf",), train, val, n_shards=1,
+            config=ServerConfig(
+                backend=ProcessShardBackend(coalesce_batches=4),
+                max_wait_ms=0.0, max_batch_traces=2, trace_sample_rate=1.0))
         with server:
             futures = [server.submit(test.demod[i % 8]) for i in range(32)]
             for future in futures:
