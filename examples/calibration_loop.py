@@ -2,19 +2,21 @@
 
 Calibrates a two-qubit, two-shard readout service, then lets the simulated
 device drift underneath it (resonator responses rotate away from the
-fitted matched filters). The :mod:`repro.calib` loop watches live traffic,
-alarms, refits in the background (warm-started from the incumbent
-envelopes), validates the candidate on held-out probes, and hot-swaps it
-into the serving shards — zero downtime, visible as model-version bumps
-with no request failures.
+fitted matched filters). A :class:`repro.calib.CalibrationLoop` scores
+each served window and ticks a :class:`repro.calib.CalibrationWorker`
+once per window: a shard whose monitor alarms is refit on its own
+(warm-started from the incumbent envelopes), the candidate is validated
+on held-out probes and hot-swapped into that serving shard — zero
+downtime, visible as model-version bumps with no request failures.
 
 Run:  PYTHONPATH=src python examples/calibration_loop.py
 """
 
 import numpy as np
 
-from repro.calib import (CalibrationLoop, DriftingSimulator, DriftSchedule,
-                         FidelityMonitor, ParameterDrift, Recalibrator)
+from repro.calib import (CalibrationLoop, CalibrationWorker,
+                         DriftingSimulator, DriftSchedule, FidelityMonitor,
+                         ParameterDrift, Recalibrator)
 from repro.experiments.drift_recovery import drifting_two_qubit_device
 from repro.serve import ServerConfig, build_sharded_server
 
@@ -43,13 +45,18 @@ def main():
         ("mf",), train, val, n_shards=2,
         config=ServerConfig(max_wait_ms=0.5)).start()
 
-    loop = CalibrationLoop(
-        server, simulator,
-        Recalibrator(server, calibration_shots_per_state=150),
-        fidelity_monitor=FidelityMonitor(window=2 * TRACES_PER_WINDOW,
-                                         drop_tolerance=0.04,
-                                         min_observations=TRACES_PER_WINDOW),
-        recal_rng=np.random.default_rng(2))
+    # Hand-ticked once per window: poll_interval_s=1.0 makes cooldown_s
+    # a window count.
+    worker = CalibrationWorker(
+        server, Recalibrator(server, calibration_shots_per_state=150),
+        simulator,
+        fidelity_monitors={
+            shard.feedline.index: FidelityMonitor(
+                window=2 * TRACES_PER_WINDOW, drop_tolerance=0.04,
+                min_observations=TRACES_PER_WINDOW)
+            for shard in server.shards},
+        poll_interval_s=1.0, cooldown_s=1.0, rng=np.random.default_rng(2))
+    loop = CalibrationLoop(server, simulator, worker)
 
     print(f"serving {N_WINDOWS} windows x {TRACES_PER_WINDOW} traces of "
           f"drifting traffic:\n")
@@ -59,14 +66,16 @@ def main():
         record = loop.process_window(
             simulator.generate_traffic(TRACES_PER_WINDOW, traffic_rng))
         event = ""
-        if record.recalibration is not None:
-            swapped = record.recalibration.swapped
-            event = (f"recalibrated: {swapped} shard(s) promoted, "
-                     f"validated fidelity "
-                     f"{record.recalibration.fidelity():.3f}"
-                     if swapped else "recalibrated: candidate rejected")
-        elif record.alarm is not None:
-            event = f"alarm ({record.alarm.monitor})"
+        promoted = [m.report for m in record.maintenance
+                    if m.report is not None and m.report.promoted]
+        if promoted:
+            validated = np.mean([r.candidate_fidelity for r in promoted])
+            event = (f"recalibrated: {len(promoted)} shard(s) promoted, "
+                     f"validated fidelity {validated:.3f}")
+        elif record.maintenance:
+            event = "recalibrated: candidate rejected"
+        elif record.alarms:
+            event = f"{record.alarms} alarm(s) in cooldown"
         print(f"{record.window:>6}  {record.fidelity:>8.3f}  {event}")
 
     stats = server.stats.snapshot()

@@ -12,18 +12,20 @@ accurate while the device drifts underneath them:
   :class:`FidelityMonitor` (labeled probe shots) and
   :class:`ScoreDriftMonitor` (label-free Page–Hinkley over per-batch IQ
   statistics, fed by engine batch hooks);
-* :mod:`~repro.calib.recalibrator` — :class:`Recalibrator` refits each
+* :mod:`~repro.calib.recalibrator` — :class:`Recalibrator` refits one
   shard's designs on fresh shots (warm-started envelopes/centroids),
   validates candidate vs incumbent on held-out probes, and promotes via
   the zero-downtime :meth:`~repro.serve.ReadoutServer.swap_engine`;
-* :mod:`~repro.calib.loop` — :class:`CalibrationLoop` runs the whole
-  detect-refit-validate-swap cycle over live traffic windows,
-  deterministically (the experiment harness);
-* :mod:`~repro.calib.worker` — :class:`CalibrationWorker` runs the same
-  per-shard cycles continuously on a background thread against live
-  traffic, with :class:`ProbeScheduler` interleaving labeled probe shots
-  at a duty cycle and per-shard alarm queues/cooldowns, so one drifting
-  feedline is repaired while the others keep serving undisturbed.
+* :mod:`~repro.calib.worker` — :class:`CalibrationWorker` is the one
+  maintenance policy: per-shard monitors and alarm queues, a per-shard
+  cooldown counted in ticks, and per-shard refit-validate-promote cycles.
+  Its background thread ticks it against live traffic, with
+  :class:`ProbeScheduler` interleaving labeled probe shots at a duty
+  cycle, so one drifting feedline is repaired while the others keep
+  serving undisturbed;
+* :mod:`~repro.calib.loop` — :class:`CalibrationLoop` ticks a worker by
+  hand once per labeled traffic window, which makes the same policy
+  deterministic (the experiment harness).
 """
 
 from .drift import (DRIFT_KINDS, DRIFTABLE_PARAMETERS, DriftingSimulator,
@@ -31,8 +33,8 @@ from .drift import (DRIFT_KINDS, DRIFTABLE_PARAMETERS, DriftingSimulator,
 from .loop import CalibrationLoop, WindowRecord
 from .monitors import (DriftAlarm, FidelityMonitor, PageHinkley,
                        ScoreDriftMonitor)
-from .recalibrator import (RecalibrationReport, Recalibrator,
-                           ShardRecalibration, attach_score_monitors)
+from .recalibrator import (Recalibrator, ShardRecalibration,
+                           attach_score_monitors)
 from .worker import (CalibrationWorker, MaintenanceRecord, ProbeScheduler,
                      WorkerStats)
 
@@ -41,7 +43,7 @@ __all__ = [
     "DRIFTABLE_PARAMETERS", "DriftAlarm", "DriftSchedule",
     "DriftingSimulator", "FidelityMonitor", "MaintenanceRecord",
     "PageHinkley", "ParameterDrift", "ProbeScheduler",
-    "RecalibrationReport", "Recalibrator", "ScoreDriftMonitor",
+    "Recalibrator", "ScoreDriftMonitor",
     "ShardRecalibration", "WindowRecord", "WorkerStats",
     "attach_score_monitors",
 ]

@@ -1,29 +1,22 @@
-"""The closed calibration-maintenance loop over a live readout server.
+"""The synchronous calibration loop over a live readout server.
 
-:class:`CalibrationLoop` ties the subsystem together: traffic windows flow
-through the :class:`~repro.serve.ReadoutServer`; every window's labeled
-shots feed a :class:`~.monitors.FidelityMonitor` while the shard engines'
-batch hooks feed per-shard :class:`~.monitors.ScoreDriftMonitor` instances;
-any alarm triggers the :class:`~.recalibrator.Recalibrator`, whose promoted
-candidates hot-swap into the server with zero downtime. The loop records a
-:class:`WindowRecord` per window — the observability trail the
-``drift_recovery`` experiment and the benchmarks assert against.
-
-The loop is deliberately synchronous (one window at a time): determinism is
-what lets the experiment replay the identical drifting timeline with and
-without recalibration and attribute every fidelity delta to the loop. It is
-a thin harness over the same per-shard primitives the background
-:class:`~.worker.CalibrationWorker` schedules asynchronously: alarms are
-scoped to the shards that raised them (a score-monitor alarm repairs just
-its shard via the :class:`Recalibrator`'s per-shard cycles; a whole-device
-fidelity alarm cycles every shard), so the two drivers exercise identical
-maintenance code and differ only in scheduling.
+:class:`CalibrationLoop` serves labeled traffic windows through the
+:class:`~repro.serve.ReadoutServer` and drives a
+:class:`~.worker.CalibrationWorker` by hand: each window's scored
+predictions go to :meth:`~.worker.CalibrationWorker.observe_labeled`,
+then the worker ticks once, with no thread. One tick is one window, so a
+worker built with ``poll_interval_s=1.0`` counts its ``cooldown_s`` in
+windows, and the whole run is deterministic. That determinism is what
+lets the ``drift_recovery`` experiment replay the identical drifting
+timeline with and without maintenance and attribute every fidelity delta
+to the worker's policy — the same policy the worker's thread runs in
+deployment. The loop records a :class:`WindowRecord` per window.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -34,9 +27,8 @@ from repro.readout.dataset import ReadoutDataset
 from repro.serve.server import ReadoutServer
 
 from .drift import DriftingSimulator
-from .monitors import DriftAlarm, FidelityMonitor, ScoreDriftMonitor
-from .recalibrator import (RecalibrationReport, Recalibrator,
-                           attach_score_monitors, resolve_design)
+from .recalibrator import resolve_design
+from .worker import CalibrationWorker, MaintenanceRecord
 
 
 def serve_window(server: ReadoutServer, traffic: ReadoutDataset,
@@ -81,27 +73,33 @@ class WindowRecord:
     #: Mean per-qubit assignment fidelity of the scored design's served
     #: predictions against the window's ground truth.
     fidelity: float
-    alarm: Optional[DriftAlarm]
-    recalibration: Optional[RecalibrationReport]
     #: Requests whose futures raised (must stay 0 for a clean run — hot
     #: swaps are required to be invisible to traffic).
     request_failures: int
-    #: True when ``alarm`` fired inside a post-recalibration cooldown
-    #: window and was therefore not acted on. The alarm itself is kept —
-    #: the observability trail must never claim nothing fired.
-    suppressed: bool = False
+    #: Shards with a queued alarm on this window's tick. Those without a
+    #: maintenance record were suppressed by their shard's cooldown.
+    alarms: int = 0
+    #: The refit cycles the tick ran, one per repaired shard.
+    maintenance: List[MaintenanceRecord] = field(default_factory=list)
+
+    @property
+    def swapped(self) -> int:
+        """Shards whose candidate was promoted on this window's tick."""
+        return sum(1 for record in self.maintenance
+                   if record.report is not None and record.report.promoted)
 
 
 class CalibrationLoop:
-    """Serve traffic windows, watch for drift, recalibrate on alarm.
+    """Serve traffic windows and tick a maintenance worker once per window.
 
     Parameters
     ----------
     server / simulator:
         The live server and the drifting traffic source.
-    recalibrator:
-        The maintenance engine; pass None for a monitor-only loop (the
-        experiment's no-recalibration baseline arm).
+    worker:
+        A :class:`~.worker.CalibrationWorker` over ``server`` that is
+        not running: the loop ticks it. None serves and scores only
+        (the experiment's no-recalibration arm).
     design:
         Which served design's bits are scored; None means the server's
         sole design.
@@ -109,115 +107,50 @@ class CalibrationLoop:
         Each window's traces are submitted as this many concurrent
         multi-trace requests, so swaps are exercised under real
         micro-batched traffic rather than one monolithic batch.
-    score_monitoring:
-        Attach per-shard label-free :class:`ScoreDriftMonitor` hooks in
-        addition to the probe-based fidelity monitor.
-    cooldown_windows:
-        Windows to ignore alarms after a recalibration attempt — the
-        refit's own settling time, and the guard against alarm storms
-        when a candidate was rejected.
-    recal_rng:
-        Generator for calibration-shot collection. Kept separate from the
-        traffic generator so the with/without-recalibration arms draw
-        identical traffic.
     """
 
     def __init__(self, server: ReadoutServer, simulator: DriftingSimulator,
-                 recalibrator: Optional[Recalibrator] = None, *,
+                 worker: Optional[CalibrationWorker] = None, *,
                  design: Optional[str] = None,
-                 fidelity_monitor: Optional[FidelityMonitor] = None,
-                 score_monitoring: bool = True,
-                 requests_per_window: int = 4,
-                 cooldown_windows: int = 1,
-                 recal_rng: Optional[np.random.Generator] = None):
+                 requests_per_window: int = 4):
         if requests_per_window < 1:
             raise ValueError("requests_per_window must be positive")
+        if worker is not None and worker.server is not server:
+            raise ValueError("worker maintains a different server")
+        if worker is not None and worker.running:
+            raise ValueError("worker is running its own thread")
         self.server = server
         self.simulator = simulator
-        self.recalibrator = recalibrator
+        self.worker = worker
         self.design = resolve_design(server, design)
-        self.fidelity_monitor = fidelity_monitor or FidelityMonitor()
         self.requests_per_window = int(requests_per_window)
-        self.cooldown_windows = int(cooldown_windows)
-        self._recal_rng = recal_rng or np.random.default_rng(0)
-        self._cooldown = 0
-        self._windows = 0
         self.records: List[WindowRecord] = []
-        self.score_monitors: List[ScoreDriftMonitor] = []
-        if score_monitoring:
-            self.score_monitors = [
-                ScoreDriftMonitor(n_qubits=shard.feedline.n_qubits)
-                for shard in server.shards
-            ]
-            attach_score_monitors(server, self.score_monitors)
 
-    # ------------------------------------------------------------------
-    # One window of the loop
-    # ------------------------------------------------------------------
     def process_window(self, traffic: ReadoutDataset) -> WindowRecord:
-        """Serve one labeled traffic window and run the maintenance logic."""
-        predicted, rows, failures = self._serve(traffic)
+        """Serve one labeled traffic window, then tick the worker once."""
+        predicted, rows, failures = serve_window(
+            self.server, traffic, self.design, self.requests_per_window)
         labels = traffic.labels[rows]
-        n_scored = len(rows)
         fidelity = (float(metrics.per_qubit_accuracy(predicted,
                                                      labels).mean())
-                    if n_scored else float("nan"))
-
-        alarm = None
-        scope = None                    # None: cycle every shard
-        if n_scored:
-            alarm = self.fidelity_monitor.observe(predicted, labels)
-            if self.fidelity_monitor.baseline is None:
-                # First healthy window defines the post-calibration normal.
-                self.fidelity_monitor.set_baseline(
-                    self.fidelity_monitor.fidelity())
-        if alarm is None:
-            # Label-free alarms are per shard: repair exactly the shards
-            # whose monitors fired, through the same per-shard cycle the
-            # background worker uses.
-            alarmed = [shard.feedline.index for shard, monitor
-                       in zip(self.server.shards, self.score_monitors)
-                       if monitor.alarm is not None]
-            if alarmed:
-                scope = alarmed
-                alarm = next(m.alarm for m in self.score_monitors
-                             if m.alarm is not None)
-
-        suppressed = False
-        recalibration = None
-        if self._cooldown > 0:
-            self._cooldown -= 1
-            # The refit just happened; don't act, but keep the record
-            # honest: an alarm during cooldown is suppressed, not erased.
-            suppressed = alarm is not None
-        elif alarm is not None and self.recalibrator is not None:
-            recalibration = self.recalibrator.recalibrate(
-                self.simulator, self._recal_rng, shard_indices=scope)
-            self._after_recalibration(recalibration)
-
+                    if len(rows) else float("nan"))
         record = WindowRecord(
-            window=self._windows, end_shot=self.simulator.shot,
-            n_traces=traffic.n_traces, fidelity=fidelity, alarm=alarm,
-            recalibration=recalibration, request_failures=failures,
-            suppressed=suppressed)
-        self._windows += 1
+            window=len(self.records), end_shot=self.simulator.shot,
+            n_traces=traffic.n_traces, fidelity=fidelity,
+            request_failures=failures)
+        if self.worker is not None:
+            if len(rows):
+                self.worker.observe_labeled(predicted, labels)
+            alarms_before = self.worker.stats.alarms_seen
+            records_before = len(self.worker.records)
+            self.worker.tick()
+            record.alarms = self.worker.stats.alarms_seen - alarms_before
+            record.maintenance = self.worker.records[records_before:]
         self.records.append(record)
         log_event("calib", "window", level=logging.DEBUG,
                   window=record.window, n_traces=record.n_traces,
-                  fidelity=round(fidelity, 6), alarmed=alarm is not None,
-                  suppressed=suppressed,
-                  swapped=(0 if recalibration is None
-                           else recalibration.swapped))
-        if suppressed:
-            log_event("calib", "cooldown_suppressed", window=record.window,
-                      monitor=alarm.monitor,
-                      cooldown_windows_left=self._cooldown)
-        if recalibration is not None:
-            log_event("calib", "recalibration", window=record.window,
-                      monitor=alarm.monitor,
-                      shards_cycled=len(recalibration.shards),
-                      swapped=recalibration.swapped,
-                      fidelity_after=round(recalibration.fidelity(), 6))
+                  fidelity=round(fidelity, 6), alarms=record.alarms,
+                  refits=len(record.maintenance), swapped=record.swapped)
         return record
 
     def run(self, n_windows: int, traces_per_window: int,
@@ -228,45 +161,10 @@ class CalibrationLoop:
                 self.simulator.generate_traffic(traces_per_window, rng))
         return self.records
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _serve(self, traffic: ReadoutDataset):
-        return serve_window(self.server, traffic, self.design,
-                            self.requests_per_window)
-
-    def _after_recalibration(self, report: RecalibrationReport) -> None:
-        self._cooldown = self.cooldown_windows
-        # Cycled shards' score monitors re-baseline after every attempt:
-        # whatever state traffic is in now is the new normal to watch
-        # from (a rejected candidate means the incumbent still fits it
-        # best anyway). Un-cycled shards keep their evidence.
-        cycled = {shard.shard_index for shard in report.shards}
-        for shard, monitor in zip(self.server.shards, self.score_monitors):
-            if shard.feedline.index in cycled:
-                monitor.reset()
-        if report.swapped == 0:
-            return
-        # Promotions additionally re-hook the replacement engines and
-        # re-baseline the probe monitor on the validated fidelity.
-        if self.score_monitors:
-            attach_score_monitors(self.server, self.score_monitors)
-        self.fidelity_monitor.reset()
-        if cycled == {s.feedline.index for s in self.server.shards}:
-            self.fidelity_monitor.set_baseline(report.fidelity())
-        else:
-            # A partial cycle validated only the repaired shards; the
-            # whole-device baseline is re-learned from the next window.
-            self.fidelity_monitor.baseline = None
-
-    # ------------------------------------------------------------------
-    # Derived observability
-    # ------------------------------------------------------------------
     @property
     def swap_count(self) -> int:
         """Total promoted hot swaps across the loop's lifetime."""
-        return sum(r.recalibration.swapped for r in self.records
-                   if r.recalibration is not None)
+        return sum(record.swapped for record in self.records)
 
     @property
     def request_failures(self) -> int:

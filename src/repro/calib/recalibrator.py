@@ -1,14 +1,14 @@
 """Background recalibration with validation-gated hot promotion.
 
-On a drift alarm the :class:`Recalibrator` runs the full maintenance cycle
-for every shard of a live :class:`~repro.serve.ReadoutServer`:
+On a drift alarm the :class:`Recalibrator` runs the maintenance cycle for
+one feedline shard of a live :class:`~repro.serve.ReadoutServer`:
 
 1. collect a fresh labeled calibration dataset at the *current* device
    truth (from a :class:`~.drift.DriftingSimulator` or any compatible
    source);
-2. refit each served design per shard, warm-started from the incumbent
-   pipeline where stages support it (matched-filter envelopes, centroids
-   — see :meth:`repro.core.Stage.warm_start`);
+2. refit each served design on the shard's qubit group, warm-started from
+   the incumbent pipeline where stages support it (matched-filter
+   envelopes, centroids — see :meth:`repro.core.Stage.warm_start`);
 3. score the candidate engine against the incumbent on held-out probe
    shots — the incumbent through the live serve path (so its score
    reflects exactly what traffic experiences), the candidate offline;
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import pathlib
 import weakref
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from repro.core import TrainingConfig, make_design, metrics
 from repro.core.model_io import save_pipeline
 from repro.engine import ReadoutEngine
 from repro.obs.log import log_event
-from repro.readout.dataset import ReadoutDataset
 from repro.serve.server import ReadoutServer
 
 
@@ -47,29 +46,6 @@ class ShardRecalibration:
     candidate_fidelity: float
     #: Model version after the cycle (unchanged when not promoted).
     model_version: int
-
-
-@dataclass
-class RecalibrationReport:
-    """Outcome of one full recalibration cycle across every shard."""
-
-    shards: List[ShardRecalibration] = field(default_factory=list)
-    calibration_traces: int = 0
-    probe_traces: int = 0
-
-    @property
-    def swapped(self) -> int:
-        """How many shards promoted their candidate."""
-        return sum(1 for shard in self.shards if shard.promoted)
-
-    def fidelity(self) -> float:
-        """Serving fidelity after the cycle: candidate where promoted,
-        incumbent elsewhere (unweighted shard mean)."""
-        if not self.shards:
-            return float("nan")
-        return float(np.mean([
-            s.candidate_fidelity if s.promoted else s.incumbent_fidelity
-            for s in self.shards]))
 
 
 def _mean_accuracy(predicted: np.ndarray, labels: np.ndarray) -> float:
@@ -139,81 +115,35 @@ class Recalibrator:
     # ------------------------------------------------------------------
     # The maintenance cycle
     # ------------------------------------------------------------------
-    def recalibrate(self, source, rng: np.random.Generator, *,
-                    shard_indices: Optional[Sequence[int]] = None,
-                    ) -> RecalibrationReport:
-        """Run one refit-validate-promote cycle against ``source``.
+    def recalibrate_shard(self, shard_index: int, source,
+                          rng: np.random.Generator) -> ShardRecalibration:
+        """One shard's cycle: collect, refit, validate, swap.
 
-        ``source`` provides fresh ground truth:
+        ``source`` provides fresh ground truth for the full device:
         ``source.calibration_set(shots_per_state, rng)`` (a
         :class:`~.drift.DriftingSimulator`) or a plain callable with the
         same signature returning a labeled
-        :class:`~repro.readout.ReadoutDataset` for the full device.
-
-        ``shard_indices`` scopes the cycle to a subset of feedline shards
-        (default: every shard). One calibration collection is shared by
-        all cycled shards; each shard still fits, validates, and promotes
-        independently — the deterministic multi-shard harness over the
-        same per-shard primitive :meth:`recalibrate_shard` exercises one
-        shard at a time.
-        """
-        shards = self._select_shards(shard_indices)
-        fit_set, val_set, probe = self._collect(source, rng)
-        incumbent_bits = self._incumbent_bits(probe)
-        report = RecalibrationReport(
-            calibration_traces=(fit_set.n_traces + val_set.n_traces
-                                + probe.n_traces),
-            probe_traces=probe.n_traces)
-        for shard in shards:
-            report.shards.append(self._shard_cycle(
-                shard, fit_set, val_set, probe, incumbent_bits))
-        return report
-
-    def recalibrate_shard(self, shard_index: int, source,
-                          rng: np.random.Generator) -> ShardRecalibration:
-        """One *independent* per-shard cycle: collect, refit, validate, swap.
-
-        Unlike :meth:`recalibrate`, this collects and splits its own fresh
-        calibration set (sliced to the shard's qubit group for fitting),
-        so one drifting shard can be repaired without forcing a
-        whole-device refit — the primitive the background
+        :class:`~repro.readout.ReadoutDataset`. The fresh set is split and
+        sliced to the shard's qubit group for fitting, so one drifting
+        shard is repaired without a whole-device refit — the cycle the
         :class:`~.worker.CalibrationWorker` schedules per shard. Probe
         shots still cover the full device because the incumbent is scored
         through the live serve path, exactly as traffic experiences it.
         """
-        [shard] = self._select_shards([shard_index])
-        fit_set, val_set, probe = self._collect(source, rng)
-        incumbent_bits = self._incumbent_bits(probe)
-        return self._shard_cycle(shard, fit_set, val_set, probe,
-                                 incumbent_bits)
-
-    # ------------------------------------------------------------------
-    # Cycle internals
-    # ------------------------------------------------------------------
-    def _select_shards(self, shard_indices: Optional[Sequence[int]]):
         shards = {s.feedline.index: s for s in self.server.shards}
-        if shard_indices is None:
-            return list(shards.values())
-        unknown = sorted(set(shard_indices) - set(shards))
-        if unknown:
+        if shard_index not in shards:
             raise ValueError(
-                f"no shard with feedline index {unknown}; "
+                f"no shard with feedline index {shard_index}; "
                 f"have {sorted(shards)}")
-        return [shards[i] for i in sorted(set(shard_indices))]
-
-    def _collect(self, source, rng: np.random.Generator):
+        shard = shards[shard_index]
         collect = getattr(source, "calibration_set", source)
         fresh = collect(self.calibration_shots_per_state, rng)
-        return fresh.split(rng, self.fit_fraction, self.val_fraction)
-
-    def _incumbent_bits(self, probe: ReadoutDataset):
+        fit_set, val_set, probe = fresh.split(rng, self.fit_fraction,
+                                              self.val_fraction)
         # Incumbent scored through the live serve path: micro-batched, on
         # whatever engine version traffic is currently hitting.
-        return self.server.predict(probe.demod).bits
+        incumbent_bits = self.server.predict(probe.demod).bits
 
-    def _shard_cycle(self, shard, fit_set: ReadoutDataset,
-                     val_set: ReadoutDataset, probe: ReadoutDataset,
-                     incumbent_bits) -> ShardRecalibration:
         idx = list(shard.feedline.qubit_indices)
         shard_train = fit_set.select_qubits(idx)
         shard_val = val_set.select_qubits(idx)
@@ -238,7 +168,6 @@ class Recalibrator:
             _mean_accuracy(incumbent_bits[name][:, idx], shard_probe.labels)
             for name in self.server.design_names]))
 
-        shard_index = shard.feedline.index
         version = self.server.stats.model_versions.get(shard_index, 0)
         # Strictly better: an exact tie keeps the incumbent, so spurious
         # alarms on a healthy device never churn model versions.
@@ -275,7 +204,7 @@ def resolve_design(server: ReadoutServer, design: Optional[str]) -> str:
     """The scored design name: validate ``design``, or infer the sole one.
 
     Shared by every consumer that scores one served design's bits (the
-    synchronous loop, the probe scheduler).
+    calibration loop, the probe scheduler).
     """
     if design is None:
         if len(server.design_names) != 1:
@@ -296,8 +225,8 @@ def attach_score_monitors(server: ReadoutServer, monitors: Sequence,
 
     ``monitors[i]`` observes shard ``i``'s chunks via the engine's batch
     hook. Call again after a promotion to hook the replacement engine
-    (the :class:`~.loop.CalibrationLoop` does this automatically); an
-    engine this monitor already hooks is left alone, and a monitor moving
+    (the :class:`~.worker.CalibrationWorker` does so after every refit);
+    an engine this monitor already hooks is left alone, and a monitor moving
     to a replacement engine detaches its hook from the old one first, so
     a retired incumbent never keeps feeding the monitor.
 

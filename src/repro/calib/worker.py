@@ -1,34 +1,38 @@
-"""Continuous background recalibration: a maintenance thread per server.
+"""Calibration upkeep: the one per-shard maintenance policy.
 
-PR 3's :class:`~.loop.CalibrationLoop` is deliberately synchronous — one
-traffic window at a time, whole-device refits — which is the right shape
-for deterministic experiments but not for deployment: a real feedline
-discriminator must stay calibrated while traffic never stops. This module
-closes that gap:
+A real feedline discriminator must stay calibrated while traffic never
+stops. This module holds the policy that keeps it so, and the thread that
+runs it:
 
 * :class:`ProbeScheduler` interleaves *labeled probe shots* into live
   traffic at a configurable duty cycle (in production: calibration pulses
-  the control stack schedules between circuits) and routes each probe
-  batch's outcomes to per-shard :class:`~.monitors.FidelityMonitor`\\ s;
-* :class:`CalibrationWorker` is a background thread that watches a live
+  the control stack schedules between circuits) and hands each probe
+  batch's outcomes back to its caller;
+* :class:`CalibrationWorker` watches a live
   :class:`~repro.serve.ReadoutServer` through per-shard alarm queues —
   fed by the engines' batch hooks (label-free
-  :class:`~.monitors.ScoreDriftMonitor`\\ s) and by probe results — and
+  :class:`~.monitors.ScoreDriftMonitor`\\ s) and by labeled outcomes
+  routed to per-shard :class:`~.monitors.FidelityMonitor`\\ s — and
   repairs **each shard independently** via
   :meth:`~.recalibrator.Recalibrator.recalibrate_shard`, with a per-shard
   cooldown so one noisy shard cannot storm the refit budget. Promotions
   ride the lock-free :meth:`~repro.serve.ReadoutServer.swap_engine`, so
   traffic on healthy shards never notices a neighbour being repaired.
 
-Lifecycle mirrors the server: :meth:`CalibrationWorker.start` /
-:meth:`~CalibrationWorker.stop` (joining, idempotent, no restart), or use
-the worker as a context manager. The worker thread must never die to an
-exception — probe and refit failures are counted, not raised.
+One :meth:`CalibrationWorker.tick` is one pass of the policy, and the
+cooldown counts ticks. The background thread ticks every
+``poll_interval_s`` (:meth:`~CalibrationWorker.start` /
+:meth:`~CalibrationWorker.stop`, joining, idempotent, no restart; or use
+the worker as a context manager) and never dies to an exception — probe
+and refit failures are counted, not raised. The synchronous
+:class:`~.loop.CalibrationLoop` ticks a thread-less worker once per
+traffic window instead, which makes the same policy deterministic.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from collections import deque
@@ -48,16 +52,15 @@ from .recalibrator import (Recalibrator, ShardRecalibration,
 
 @dataclass
 class MaintenanceRecord:
-    """One background maintenance action: what fired and what it did."""
+    """One maintenance action: what fired and what it did."""
 
     shard_index: int
     #: The alarm that triggered the cycle.
     alarm: DriftAlarm
     #: The per-shard cycle outcome, or None when the refit itself failed.
     report: Optional[ShardRecalibration]
-    #: Monotonic timestamp the cycle finished at (wall-clock ordering aid;
-    #: the worker is asynchronous, so shot-clock determinism lives in the
-    #: synchronous :class:`~.loop.CalibrationLoop` instead).
+    #: Monotonic timestamp the cycle finished at: a wall-clock ordering
+    #: aid only. Policy decisions count ticks, never this clock.
     finished_at: float
     error: Optional[str] = None
 
@@ -81,6 +84,11 @@ class WorkerStats:
         return asdict(self)
 
 
+#: Default traces per probe submission; also sizes the worker's default
+#: fidelity monitors when it has no probe scheduler.
+DEFAULT_PROBE_BATCH = 16
+
+
 class ProbeScheduler:
     """Interleave labeled probe shots into live traffic at a duty cycle.
 
@@ -91,12 +99,8 @@ class ProbeScheduler:
     path** (``server.predict``), so probe outcomes measure exactly what
     traffic experiences — batching, current engine version and all. Probe
     traces are excluded from their own duty-cycle accounting and counted
-    separately in :class:`~repro.serve.ServerStats` (``probes`` /
-    ``probe_traces``).
-
-    Outcomes are routed per shard: ``monitors[shard_index]`` receives the
-    shard's columns of each probe batch. :meth:`poll` returns the alarms
-    raised by the freshest batch so a caller (the worker) can queue them.
+    here (``batches`` / ``traces``); the worker reports them as
+    ``probe_batches`` / ``probe_traces``.
 
     Parameters
     ----------
@@ -114,19 +118,14 @@ class ProbeScheduler:
         Traces per probe submission; also the granularity of fidelity
         evidence.
     design:
-        Which served design's bits the monitors score; None means the
+        Which served design's bits :meth:`poll` returns; None means the
         server's sole design.
-    monitors:
-        Per-shard-index :class:`~.monitors.FidelityMonitor` map; by
-        default one is built per shard with a window of ``4 *
-        probe_batch`` and ``min_observations=2 * probe_batch``.
     """
 
     def __init__(self, server: ReadoutServer, source, *,
-                 duty_cycle: float = 0.02, probe_batch: int = 16,
+                 duty_cycle: float = 0.02,
+                 probe_batch: int = DEFAULT_PROBE_BATCH,
                  design: Optional[str] = None,
-                 monitors: Optional[Dict[int, FidelityMonitor]] = None,
-                 drop_tolerance: float = 0.04,
                  rng: Optional[np.random.Generator] = None,
                  timeout_s: float = 30.0):
         if not 0 < duty_cycle <= 1:
@@ -142,25 +141,10 @@ class ProbeScheduler:
         self.design = resolve_design(server, design)
         self.timeout_s = float(timeout_s)
         self._rng = rng or np.random.default_rng(0)
-        if monitors is None:
-            monitors = {
-                shard.feedline.index: FidelityMonitor(
-                    window=4 * self.probe_batch,
-                    drop_tolerance=drop_tolerance,
-                    min_observations=2 * self.probe_batch)
-                for shard in server.shards
-            }
-        else:
-            missing = sorted({s.feedline.index for s in server.shards}
-                             - set(monitors))
-            if missing:
-                raise ValueError(
-                    f"monitors must cover every shard; missing {missing}")
-        self.monitors = monitors
-        self._columns = {shard.feedline.index:
-                         list(shard.feedline.qubit_indices)
-                         for shard in server.shards}
-        self._accounted = server.stats.traces_done
+        #: Probe submissions and the traces they carried.
+        self.batches = 0
+        self.traces = 0
+        (self._accounted,) = server.stats.read_counters("traces_done")
         self._unaccounted_probe = 0
         self._owed = 0.0
 
@@ -168,11 +152,11 @@ class ProbeScheduler:
         """Probe traces currently owed by the duty-cycle accounting."""
         return self._owed
 
-    def poll(self) -> List[Tuple[int, DriftAlarm]]:
-        """Account traffic since the last poll; emit a probe batch if due.
+    def poll(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Account traffic since the last poll; serve a probe batch if due.
 
-        Returns ``(shard_index, alarm)`` pairs raised by this batch's
-        outcomes (empty when no batch was due or nothing alarmed). Called
+        Returns the batch's ``(predicted_bits, labels)``, both
+        ``(probe_batch, n_qubits)``, or None when no batch was due. Called
         from the worker thread only.
         """
         # Locked read: traces_done is _lock-guarded ServerStats state and
@@ -186,48 +170,32 @@ class ProbeScheduler:
         self._unaccounted_probe -= probe_part
         self._owed += (delta - probe_part) * self.duty_cycle
         if self._owed < self.probe_batch:
-            return []
+            return None
         self._owed -= self.probe_batch
         probes = self._collect(self.probe_batch, self._rng)
-        self.server.stats.record_probe(probes.n_traces)
+        self.batches += 1
+        self.traces += probes.n_traces
         response = self.server.predict(probes.demod, timeout=self.timeout_s)
         self._unaccounted_probe += probes.n_traces
-        predicted = response.bits_for(self.design)
-        alarms = []
-        for shard_index, columns in self._columns.items():
-            monitor = self.monitors[shard_index]
-            alarm = monitor.observe(predicted[:, columns],
-                                    probes.labels[:, columns])
-            if monitor.baseline is None and monitor.n_observations >= (
-                    monitor.min_observations):
-                # First trusted estimate defines the post-calibration
-                # normal for this shard.
-                monitor.set_baseline(monitor.fidelity())
-            if alarm is not None:
-                alarms.append((shard_index, alarm))
-        return alarms
-
-    def rebaseline(self, shard_index: int, fidelity: float) -> None:
-        """Reset one shard's probe window after a recalibration attempt."""
-        monitor = self.monitors.get(shard_index)
-        if monitor is None:
-            return
-        monitor.reset()
-        monitor.set_baseline(fidelity)
+        return response.bits_for(self.design), probes.labels
 
 
 class CalibrationWorker:
-    """Background maintenance thread over a live readout server.
+    """The per-shard maintenance policy over a live readout server.
 
     Wires per-shard :class:`~.monitors.ScoreDriftMonitor`\\ s into the
-    serving engines' batch hooks and (optionally) a
-    :class:`ProbeScheduler` for labeled fidelity evidence; every alarm
-    lands in its shard's queue, and the worker thread drains the queues,
-    honouring an independent cooldown per shard, and repairs exactly the
-    alarmed shard via
-    :meth:`~.recalibrator.Recalibrator.recalibrate_shard` — one drifting
-    feedline never forces a whole-device refit, and traffic keeps flowing
-    throughout (promotion is the server's lock-free engine swap).
+    serving engines' batch hooks and routes labeled outcomes — from an
+    optional :class:`ProbeScheduler`, or handed in through
+    :meth:`observe_labeled` — to per-shard
+    :class:`~.monitors.FidelityMonitor`\\ s. Every alarm lands in its
+    shard's queue; each :meth:`tick` drains the queues, honours an
+    independent cooldown per shard, and repairs exactly the alarmed shard
+    via :meth:`~.recalibrator.Recalibrator.recalibrate_shard` — one
+    drifting feedline never forces a whole-device refit, and traffic keeps
+    flowing throughout (promotion is the server's lock-free engine swap).
+
+    Drive it with :meth:`start` (a thread ticking every
+    ``poll_interval_s``) or by calling :meth:`tick` by hand, never both.
 
     Parameters
     ----------
@@ -236,18 +204,25 @@ class CalibrationWorker:
         source handed to per-shard cycles (see
         :meth:`Recalibrator.recalibrate_shard`).
     probes:
-        A configured :class:`ProbeScheduler`, or None to run label-free
-        (score monitors only).
+        A configured :class:`ProbeScheduler` polled on every tick, or
+        None to take labeled evidence only through :meth:`observe_labeled`.
+    fidelity_monitors:
+        Per-shard-index :class:`~.monitors.FidelityMonitor` map covering
+        every shard; by default one per shard with a window of ``4 *
+        probe_batch``, ``min_observations=2 * probe_batch`` and
+        ``drop_tolerance=0.04`` (``probe_batch`` is
+        :data:`DEFAULT_PROBE_BATCH` without probes).
     score_monitoring:
         Attach per-shard label-free monitors to the shard engines.
     poll_interval_s:
-        Worker tick period: how often probes are scheduled and alarm
-        queues drained.
+        Worker tick period: how often the thread polls probes and drains
+        alarm queues.
     cooldown_s:
         Per-shard quiet period after a refit attempt (promoted or not) —
-        the refit's settling time and the alarm-storm guard. Alarms
-        arriving during it are counted as suppressed, never silently
-        dropped.
+        the refit's settling time and the alarm-storm guard — counted as
+        ``ceil(cooldown_s / poll_interval_s)`` ticks, so a hand-ticked
+        worker is deterministic. Alarms arriving during it are counted as
+        suppressed, never silently dropped.
     warmup_batches / score_delta / score_lam:
         Knobs for the internally built score monitors (ignored when
         ``score_monitoring=False``).
@@ -258,6 +233,8 @@ class CalibrationWorker:
 
     def __init__(self, server: ReadoutServer, recalibrator: Recalibrator,
                  source, *, probes: Optional[ProbeScheduler] = None,
+                 fidelity_monitors: Optional[
+                     Dict[int, FidelityMonitor]] = None,
                  score_monitoring: bool = True,
                  poll_interval_s: float = 0.01, cooldown_s: float = 0.25,
                  warmup_batches: int = 8, score_delta: float = 0.5,
@@ -277,19 +254,35 @@ class CalibrationWorker:
         self.probes = probes
         self.poll_interval_s = float(poll_interval_s)
         self.cooldown_s = float(cooldown_s)
+        self._cooldown_ticks = math.ceil(self.cooldown_s
+                                         / self.poll_interval_s)
         self._rng = rng or np.random.default_rng(0)
         self.stats = WorkerStats()
         self.records: List[MaintenanceRecord] = []
-        self._shard_indices = [shard.feedline.index
-                               for shard in server.shards]
+        self._columns = {shard.feedline.index:
+                         list(shard.feedline.qubit_indices)
+                         for shard in server.shards}
+        if fidelity_monitors is None:
+            batch = (probes.probe_batch if probes is not None
+                     else DEFAULT_PROBE_BATCH)
+            fidelity_monitors = {
+                i: FidelityMonitor(window=4 * batch, drop_tolerance=0.04,
+                                   min_observations=2 * batch)
+                for i in self._columns}
+        missing = sorted(set(self._columns) - set(fidelity_monitors))
+        if missing:
+            raise ValueError(
+                f"fidelity_monitors must cover every shard; "
+                f"missing {missing}")
+        self.fidelity_monitors = fidelity_monitors
         # Per-shard alarm queues. deque appends/popleft are atomic under
         # the GIL, so serving threads (hooks) feed them lock-free.
         self._alarms: Dict[int, Deque[DriftAlarm]] = {
-            i: deque() for i in self._shard_indices}
+            i: deque() for i in self._columns}
         self._last_queued: Dict[int, Optional[DriftAlarm]] = {
-            i: None for i in self._shard_indices}
-        self._cooldown_until: Dict[int, float] = {
-            i: 0.0 for i in self._shard_indices}
+            i: None for i in self._columns}
+        #: Last tick of each shard's cooldown (0: none yet).
+        self._cooldown_until: Dict[int, int] = {i: 0 for i in self._columns}
         self.score_monitors: Dict[int, ScoreDriftMonitor] = {}
         if score_monitoring:
             self.score_monitors = {
@@ -324,7 +317,7 @@ class CalibrationWorker:
                 target=self._run, name="calib-worker", daemon=True)
             self._thread.start()
         log_event("calib", "worker_start",
-                  shards=len(self._shard_indices),
+                  shards=len(self._columns),
                   poll_interval_s=self.poll_interval_s,
                   cooldown_s=self.cooldown_s,
                   probes=self.probes is not None,
@@ -387,40 +380,64 @@ class CalibrationWorker:
             alarm = queue.popleft()     # newest evidence wins
         return alarm
 
+    def observe_labeled(self, predicted: np.ndarray,
+                        labels: np.ndarray) -> None:
+        """Feed labeled outcomes to the per-shard fidelity monitors.
+
+        ``predicted`` / ``labels`` are full-device ``(m, n_qubits)`` bits
+        (a probe batch, or a scored traffic window); each shard's monitor
+        sees its own columns, and its first trusted estimate becomes its
+        baseline. Alarms queue for the next :meth:`tick`. Call from the
+        thread that ticks.
+        """
+        for shard_index, columns in self._columns.items():
+            monitor = self.fidelity_monitors[shard_index]
+            alarm = monitor.observe(predicted[:, columns],
+                                    labels[:, columns])
+            if monitor.baseline is None and monitor.n_observations >= (
+                    monitor.min_observations):
+                # First trusted estimate defines the post-calibration
+                # normal for this shard.
+                monitor.set_baseline(monitor.fidelity())
+            if alarm is not None:
+                self._enqueue_alarm(shard_index, alarm)
+
     # ------------------------------------------------------------------
-    # The maintenance loop
+    # The maintenance policy
     # ------------------------------------------------------------------
     def _run(self) -> None:
         while not self._stop_event.wait(self.poll_interval_s):
             try:
-                self._tick()
+                self.tick()
             except Exception:  # noqa: BLE001 — the worker thread never dies
                 self.stats.tick_errors += 1
 
-    def _tick(self) -> None:
+    def tick(self) -> None:
+        """One pass of the policy: poll probes, then per shard take the
+        newest queued alarm and either count it suppressed (inside the
+        shard's cooldown) or recalibrate the shard."""
         self.stats.ticks += 1
         if self.probes is not None:
             try:
-                for shard_index, alarm in self.probes.poll():
-                    self._enqueue_alarm(shard_index, alarm)
+                outcome = self.probes.poll()
+                if outcome is not None:
+                    self.observe_labeled(*outcome)
             except Exception:  # noqa: BLE001 — a dead probe must not kill us
                 self.stats.probe_errors += 1
-            else:
-                (self.stats.probe_batches,
-                 self.stats.probe_traces) = self.server.stats.read_counters(
-                     "probes", "probe_traces")
-        for shard_index in self._shard_indices:
+            self.stats.probe_batches = self.probes.batches
+            self.stats.probe_traces = self.probes.traces
+        for shard_index in self._columns:
             alarm = self._next_alarm(shard_index)
             if alarm is None:
                 continue
             self.stats.alarms_seen += 1
-            if time.monotonic() < self._cooldown_until[shard_index]:
+            if self.stats.ticks <= self._cooldown_until[shard_index]:
                 self.stats.alarms_suppressed += 1
                 log_event("calib", "cooldown_suppressed",
                           shard=shard_index, monitor=alarm.monitor,
-                          cooldown_remaining_s=round(
+                          cooldown_ticks_left=(
                               self._cooldown_until[shard_index]
-                              - time.monotonic(), 4))
+                              - self.stats.ticks))
                 # A sticky monitor re-reports the same alarm *object*, and
                 # the enqueue dedup keys on identity — forget it here or
                 # the re-reports after cooldown would be deduped against a
@@ -428,11 +445,11 @@ class CalibrationWorker:
                 if self._last_queued.get(shard_index) is alarm:
                     self._last_queued[shard_index] = None
                 continue
-            self._recalibrate(shard_index, alarm)
+            self._repair(shard_index, alarm)
             if self._stop_event.is_set():
                 return
 
-    def _recalibrate(self, shard_index: int, alarm: DriftAlarm) -> None:
+    def _repair(self, shard_index: int, alarm: DriftAlarm) -> None:
         self.stats.refits += 1
         report: Optional[ShardRecalibration] = None
         error: Optional[str] = None
@@ -450,8 +467,8 @@ class CalibrationWorker:
         self.records.append(MaintenanceRecord(
             shard_index=shard_index, alarm=alarm, report=report,
             finished_at=time.monotonic(), error=error))
-        self._cooldown_until[shard_index] = (time.monotonic()
-                                             + self.cooldown_s)
+        self._cooldown_until[shard_index] = (self.stats.ticks
+                                             + self._cooldown_ticks)
         self._settle(shard_index, report)
 
     def _settle(self, shard_index: int,
@@ -466,9 +483,12 @@ class CalibrationWorker:
             # replacement engine needs its hook moved over.
             monitor.reset()
             self._attach_hooks()
-        if self.probes is not None and report is not None:
-            self.probes.rebaseline(
-                shard_index,
+        if report is not None:
+            # Labeled evidence restarts from the validated fidelity of
+            # whichever model now serves the shard.
+            fidelity_monitor = self.fidelity_monitors[shard_index]
+            fidelity_monitor.reset()
+            fidelity_monitor.set_baseline(
                 report.candidate_fidelity if report.promoted
                 else report.incumbent_fidelity)
         # Evidence gathered against the pre-refit model is stale.
@@ -499,7 +519,3 @@ class CalibrationWorker:
     @property
     def promotions(self) -> int:
         return self.stats.promotions
-
-    def model_versions(self) -> Dict[int, int]:
-        """Per-shard engine versions after this worker's promotions."""
-        return dict(self.server.stats.model_versions)

@@ -204,7 +204,7 @@ def run_async_recovery(config: ExperimentConfig = DEFAULT_CONFIG,
         "request_failures_with_worker": with_worker.request_failures,
         "request_failures_no_worker": without.request_failures,
         "server_failed_requests": int(with_worker.stats["failed"]),
-        "probe_traces": int(with_worker.stats["probe_traces"]),
+        "probe_traces": with_worker.worker_stats["probe_traces"],
         "worker": with_worker.worker_stats,
         "traces_per_window": traces_per_window,
         "calibration_shots_per_state": calibration_shots,

@@ -57,8 +57,6 @@ class ServerStats:
         self.batched_requests = 0  #: guarded-by: _lock
         self.batched_traces = 0  #: guarded-by: _lock
         self.max_batch_traces = 0  #: guarded-by: _lock
-        self.probes = 0  #: guarded-by: _lock
-        self.probe_traces = 0  #: guarded-by: _lock
         self.worker_deaths = 0  #: guarded-by: _lock
         self.swaps = 0  #: guarded-by: _lock
         self.model_versions: Dict[int, int] = {}  #: guarded-by: _lock
@@ -96,19 +94,6 @@ class ServerStats:
             self.batched_requests += n_requests
             self.batched_traces += n_traces
             self.max_batch_traces = max(self.max_batch_traces, n_traces)
-
-    def record_probe(self, n_traces: int) -> None:
-        """Count one interleaved labeled probe request of ``n_traces``.
-
-        Probe shots ride the normal submit path (so they also appear in
-        ``submitted``/``traces_in``); these counters let operators see how
-        much of the traffic is calibration-maintenance overhead — the
-        :class:`~repro.calib.worker.ProbeScheduler`'s duty cycle made
-        observable.
-        """
-        with self._lock:
-            self.probes += 1
-            self.probe_traces += n_traces
 
     def record_done(self, n_traces: int, latency_s: float,
                     now: float) -> None:
@@ -241,13 +226,13 @@ class ServerStats:
     def read_counters(self, *names: str) -> tuple:
         """Read several counters under one lock acquisition.
 
-        External pollers (the probe scheduler, the calibration worker's
-        cadence check) used to read counter attributes directly — racy
-        against concurrent ``record_*`` writers and flagged by
-        repro-lint's RPA001 once the counters were declared
-        ``guarded-by: _lock``. This is the locked path for "give me a
-        mutually-consistent view of two or three counters" without the
-        cost of a full :meth:`snapshot`.
+        External pollers (such as the calibration probe scheduler's
+        duty-cycle accounting) read counters here: a direct attribute
+        read races concurrent ``record_*`` writers, and repro-lint's
+        RPA001 flags it because the counters are ``guarded-by: _lock``.
+        This is the locked path for "give me a mutually-consistent view
+        of two or three counters" without the cost of a full
+        :meth:`snapshot`.
         """
         with self._lock:
             return tuple(getattr(self, name) for name in names)
@@ -283,8 +268,6 @@ class ServerStats:
                 "batched_requests": self.batched_requests,
                 "batched_traces": self.batched_traces,
                 "max_batch_traces": self.max_batch_traces,
-                "probes": self.probes,
-                "probe_traces": self.probe_traces,
                 "worker_deaths": self.worker_deaths,
                 "swaps": self.swaps,
                 **slabs,

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.calib import (CalibrationLoop, DriftingSimulator, DriftSchedule,
-                         FidelityMonitor, ParameterDrift, Recalibrator,
-                         ScoreDriftMonitor, attach_score_monitors)
+from repro.calib import (CalibrationLoop, CalibrationWorker,
+                         DriftingSimulator, DriftSchedule, FidelityMonitor,
+                         ParameterDrift, Recalibrator, ScoreDriftMonitor,
+                         attach_score_monitors)
 from repro.core import load_pipeline, make_design
 from repro.engine import ReadoutEngine
 from repro.experiments.drift_recovery import drifting_two_qubit_device
@@ -30,6 +31,16 @@ def make_server(simulator, seed=0):
         config=ServerConfig(max_wait_ms=0.5)).start()
 
 
+def make_two_shard_server(simulator, max_batch_traces=256):
+    """A two-shard 'mf' server calibrated on the simulator's truth."""
+    calib = simulator.calibration_set(100, np.random.default_rng(0))
+    train, val, _ = calib.split(np.random.default_rng(1), 0.6, 0.15)
+    return build_sharded_server(
+        ("mf",), train, val, n_shards=2,
+        config=ServerConfig(max_batch_traces=max_batch_traces,
+                            max_wait_ms=0.5)).start()
+
+
 def fit_engine(simulator, seed=3):
     """A fresh fitted single-design engine at the simulator's truth."""
     calib = simulator.calibration_set(100, np.random.default_rng(seed))
@@ -48,10 +59,9 @@ class TestRecalibrator:
         recalibrator = Recalibrator(server,
                                     calibration_shots_per_state=120,
                                     snapshot_dir=str(tmp_path))
-        report = recalibrator.recalibrate(simulator,
-                                          np.random.default_rng(5))
-        assert report.swapped == 1
-        [shard] = report.shards
+        shard = recalibrator.recalibrate_shard(0, simulator,
+                                               np.random.default_rng(5))
+        assert shard.shard_index == 0
         assert shard.promoted
         assert shard.candidate_fidelity > shard.incumbent_fidelity + 0.1
         assert shard.model_version == 1
@@ -74,10 +84,10 @@ class TestRecalibrator:
         recalibrator = Recalibrator(server,
                                     calibration_shots_per_state=120,
                                     min_improvement=0.05)
-        report = recalibrator.recalibrate(simulator,
-                                          np.random.default_rng(5))
-        assert report.swapped == 0
-        assert not report.shards[0].promoted
+        report = recalibrator.recalibrate_shard(0, simulator,
+                                                np.random.default_rng(5))
+        assert not report.promoted
+        assert report.model_version == 0
         assert server.stats.swaps == 0
         assert server.stats.model_versions == {}
         server.stop()
@@ -91,8 +101,8 @@ class TestRecalibrator:
             calls.append(shots_per_state)
             return simulator.calibration_set(shots_per_state, rng)
 
-        Recalibrator(server, calibration_shots_per_state=60).recalibrate(
-            source, np.random.default_rng(0))
+        recalibrator = Recalibrator(server, calibration_shots_per_state=60)
+        recalibrator.recalibrate_shard(0, source, np.random.default_rng(0))
         assert calls == [60]
         server.stop()
 
@@ -114,12 +124,7 @@ class TestPerShardCycles:
                            magnitude=magnitude, start_shot=start_shot),
         ])
         simulator = DriftingSimulator(drifting_two_qubit_device(), schedule)
-        calib = simulator.calibration_set(100, np.random.default_rng(0))
-        train, val, _ = calib.split(np.random.default_rng(1), 0.6, 0.15)
-        server = build_sharded_server(
-            ("mf",), train, val, n_shards=2,
-            config=ServerConfig(max_wait_ms=0.5)).start()
-        return simulator, server
+        return simulator, make_two_shard_server(simulator)
 
     def test_recalibrate_shard_repairs_one_shard(self):
         # Only shard 1 drifted; its independent cycle collects its own
@@ -146,24 +151,6 @@ class TestPerShardCycles:
         with pytest.raises(ValueError, match="no shard with feedline"):
             recalibrator.recalibrate_shard(7, simulator,
                                            np.random.default_rng(0))
-        server.stop()
-
-    def test_recalibrate_scoped_to_shard_indices(self):
-        simulator, server = self.make_two_shard()
-        simulator.shot = 100
-        recalibrator = Recalibrator(server, calibration_shots_per_state=100,
-                                    min_improvement=0.05)
-        # Scope the cycle to the healthy shard only: its candidate cannot
-        # clear the margin, and the drifting shard must not be touched.
-        report = recalibrator.recalibrate(simulator,
-                                          np.random.default_rng(5),
-                                          shard_indices=[0])
-        assert [s.shard_index for s in report.shards] == [0]
-        assert report.swapped == 0
-        assert server.stats.model_versions == {}
-        with pytest.raises(ValueError, match="no shard with feedline"):
-            recalibrator.recalibrate(simulator, np.random.default_rng(5),
-                                     shard_indices=[0, 9])
         server.stop()
 
 
@@ -237,111 +224,173 @@ class TestAttachScoreMonitors:
         server.stop()
 
 
+def loop_worker(server, simulator, *, monitor_kwargs, cooldown_windows=1,
+                shots=120, min_improvement=0.0, **kwargs):
+    """A hand-ticked worker: one tick per window, per-shard monitors."""
+    recalibrator = Recalibrator(server, calibration_shots_per_state=shots,
+                                min_improvement=min_improvement)
+    monitors = {shard.feedline.index: FidelityMonitor(**monitor_kwargs)
+                for shard in server.shards}
+    return CalibrationWorker(server, recalibrator, simulator,
+                             fidelity_monitors=monitors,
+                             poll_interval_s=1.0,
+                             cooldown_s=float(cooldown_windows), **kwargs)
+
+
 class TestCalibrationLoop:
     def test_closed_loop_recovers_fidelity(self):
         simulator = make_simulator(magnitude=2.2,
                                    start_shot=2 * 200)
         server = make_server(simulator)
-        loop = CalibrationLoop(
+        worker = loop_worker(
             server, simulator,
-            Recalibrator(server, calibration_shots_per_state=120),
-            fidelity_monitor=FidelityMonitor(window=400,
-                                             drop_tolerance=0.05,
-                                             min_observations=100),
-            recal_rng=np.random.default_rng(9))
+            monitor_kwargs=dict(window=400, drop_tolerance=0.05,
+                                min_observations=100),
+            rng=np.random.default_rng(9))
+        loop = CalibrationLoop(server, simulator, worker)
         records = loop.run(n_windows=10, traces_per_window=200,
                            rng=np.random.default_rng(7))
         assert loop.swap_count >= 1
         assert loop.request_failures == 0
-        assert any(r.alarm is not None for r in records)
+        assert any(r.alarms for r in records)
         # After the step drift + recovery, serving fidelity is healthy
         # again by the final window.
         assert records[-1].fidelity > 0.9
         # Version counters prove zero-downtime promotions happened.
         assert server.stats.model_versions[0] >= 1
+        assert not worker.running            # ticked by the loop only
         server.stop()
 
     def test_monitor_only_loop_never_recalibrates(self):
+        # worker=None is the no-recalibration arm: serve and score only.
         simulator = make_simulator(magnitude=2.2, start_shot=100)
         server = make_server(simulator)
-        loop = CalibrationLoop(server, simulator, recalibrator=None)
+        loop = CalibrationLoop(server, simulator)
         records = loop.run(n_windows=4, traces_per_window=150,
                            rng=np.random.default_rng(7))
         assert loop.swap_count == 0
-        assert all(r.recalibration is None for r in records)
+        assert all(r.alarms == 0 and not r.maintenance for r in records)
+        assert server.stats.swaps == 0
         # Fidelity visibly degrades with nobody fixing it.
         assert records[-1].fidelity < records[0].fidelity - 0.1
         server.stop()
 
     def test_cooldown_records_suppressed_alarm(self):
-        # Regression: an alarm raised during a cooldown window used to be
-        # overwritten to None, so the WindowRecord trail claimed nothing
-        # fired. It must be kept, flagged suppressed, and not acted on.
+        # An alarm raised inside a shard's cooldown is counted on the
+        # window's record and in the worker's stats, triggers no refit,
+        # and the refit resumes once the cooldown ticks out.
         simulator = make_simulator(magnitude=0.0)
         server = make_server(simulator)
-        loop = CalibrationLoop(
+        worker = loop_worker(
             server, simulator,
-            # min_improvement=1: every attempt is rejected, so the alarm
-            # keeps firing while cooldown windows tick down.
-            Recalibrator(server, calibration_shots_per_state=60,
-                         min_improvement=1.0),
-            fidelity_monitor=FidelityMonitor(window=100, min_fidelity=1.01,
-                                             min_observations=10),
-            score_monitoring=False, cooldown_windows=2,
-            recal_rng=np.random.default_rng(3))
+            # An unreachable floor keeps the alarm firing, and
+            # min_improvement=1 rejects every candidate, so the alarm
+            # outlives each refit.
+            monitor_kwargs=dict(window=100, min_fidelity=1.01,
+                                min_observations=10),
+            cooldown_windows=2, shots=60, min_improvement=1.0,
+            score_monitoring=False, rng=np.random.default_rng(3))
+        loop = CalibrationLoop(server, simulator, worker)
         records = loop.run(n_windows=4, traces_per_window=60,
                            rng=np.random.default_rng(4))
 
-        assert records[0].alarm is not None
-        assert records[0].recalibration is not None
-        assert not records[0].suppressed
-        for record in records[1:3]:          # the two cooldown windows
-            assert record.alarm is not None   # kept, not erased
-            assert record.suppressed
-            assert record.recalibration is None
-        assert records[3].recalibration is not None   # cooldown over
+        assert [r.alarms for r in records] == [1, 1, 1, 1]
+        assert [len(r.maintenance) for r in records] == [1, 0, 0, 1]
+        assert not any(m.report.promoted for r in records
+                       for m in r.maintenance)
+        assert worker.stats.alarms_suppressed == 2
+        assert worker.stats.refits == 2
         server.stop()
 
     def test_score_alarm_scopes_recalibration_to_its_shard(self):
-        # A label-free alarm on one shard repairs that shard only — the
-        # loop drives the same per-shard primitive the worker uses.
-        # Onset at window 9: the score monitors' 8-batch warmup (one
-        # micro-batch per window here) completes on healthy traffic first.
+        # A label-free alarm on one shard repairs that shard only.
+        # Onset at window 9: the score monitors' 8-batch warmup completes
+        # on healthy traffic first.
         schedule = DriftSchedule([
             ParameterDrift(parameter="iq_angle_rad", qubit=1, kind="step",
                            magnitude=2.0, start_shot=900),
         ])
         simulator = DriftingSimulator(drifting_two_qubit_device(), schedule)
-        calib = simulator.calibration_set(100, np.random.default_rng(0))
-        train, val, _ = calib.split(np.random.default_rng(1), 0.6, 0.15)
-        server = build_sharded_server(
-            ("mf",), train, val, n_shards=2,
-            config=ServerConfig(max_wait_ms=0.5)).start()
-        loop = CalibrationLoop(
+        server = make_two_shard_server(simulator)
+        worker = loop_worker(
             server, simulator,
-            Recalibrator(server, calibration_shots_per_state=80),
-            design="mf",
-            # Effectively mute the whole-device fidelity monitor so the
+            # Effectively mute the labeled fidelity monitors so the
             # per-shard score monitors drive detection.
-            fidelity_monitor=FidelityMonitor(window=400,
-                                             drop_tolerance=0.49,
-                                             min_observations=400),
-            recal_rng=np.random.default_rng(9))
+            monitor_kwargs=dict(window=400, drop_tolerance=0.49,
+                                min_observations=400),
+            shots=80, rng=np.random.default_rng(9))
+        loop = CalibrationLoop(server, simulator, worker, design="mf")
         records = loop.run(n_windows=14, traces_per_window=100,
                            rng=np.random.default_rng(7))
-        reports = [r.recalibration for r in records
-                   if r.recalibration is not None]
-        assert reports, "score monitors never triggered a recalibration"
-        assert all({s.shard_index for s in report.shards} == {1}
-                   for report in reports)
+        maintenance = [m for r in records for m in r.maintenance]
+        assert maintenance, "score monitors never triggered a refit"
+        assert {m.shard_index for m in maintenance} == {1}
+        assert {m.alarm.monitor for m in maintenance} == {"score-drift"}
         assert server.stats.model_versions.get(1, 0) >= 1
         assert server.stats.model_versions.get(0, 0) == 0
         assert loop.request_failures == 0
         server.stop()
+
+    def test_same_timeline_same_maintenance(self):
+        # The hand-ticked policy is deterministic: one seeded drifting
+        # timeline through two fresh servers repairs the same shards on
+        # the same windows with the same outcomes. 100-trace requests
+        # against a 128-trace batch cap make every request its own
+        # micro-batch, so the score monitors see identical batches.
+        def run_timeline():
+            schedule = DriftSchedule([
+                ParameterDrift(parameter="iq_angle_rad", qubit=0,
+                               kind="linear", magnitude=2.2,
+                               period_shots=1200, start_shot=600),
+                ParameterDrift(parameter="iq_angle_rad", qubit=1,
+                               kind="step", magnitude=2.0, start_shot=1400),
+            ])
+            simulator = DriftingSimulator(drifting_two_qubit_device(),
+                                          schedule)
+            server = make_two_shard_server(simulator, max_batch_traces=128)
+            worker = loop_worker(
+                server, simulator,
+                monitor_kwargs=dict(window=400, drop_tolerance=0.04,
+                                    min_observations=200),
+                shots=80, rng=np.random.default_rng(9))
+            loop = CalibrationLoop(server, simulator, worker,
+                                   requests_per_window=2)
+            records = loop.run(n_windows=12, traces_per_window=200,
+                               rng=np.random.default_rng(7))
+            server.stop()
+            timeline = [
+                (r.fidelity, r.alarms,
+                 [(m.shard_index, m.alarm.monitor, m.report.promoted,
+                   m.report.model_version) for m in r.maintenance])
+                for r in records]
+            return timeline, server.stats.snapshot()["model_versions"]
+
+        first, versions = run_timeline()
+        assert run_timeline() == (first, versions)
+        cycles = [cycle for _, _, window in first for cycle in window]
+        assert any(promoted for _, _, promoted, _ in cycles)
+        # The timeline exercises both alarm sources and the cooldown.
+        assert {monitor for _, monitor, _, _ in cycles} == {
+            "fidelity", "score-drift"}
+        assert any(alarms > len(window) for _, alarms, window in first)
 
     def test_design_selection_validated(self):
         simulator = make_simulator()
         server = make_server(simulator)
         with pytest.raises(ValueError, match="unknown design"):
             CalibrationLoop(server, simulator, design="mf-rmf-nn")
+        other = make_server(simulator, seed=7)
+        worker = loop_worker(other, simulator,
+                             monitor_kwargs=dict(window=100,
+                                                 min_observations=10))
+        with pytest.raises(ValueError, match="different server"):
+            CalibrationLoop(server, simulator, worker)
+        # A worker ticked by its own thread and by the loop would refit
+        # one shard twice at once.
+        with loop_worker(server, simulator,
+                         monitor_kwargs=dict(window=100,
+                                             min_observations=10)) as running:
+            with pytest.raises(ValueError, match="running"):
+                CalibrationLoop(server, simulator, running)
+        other.stop()
         server.stop()

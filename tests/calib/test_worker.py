@@ -44,42 +44,75 @@ class TestProbeScheduler:
                                 probe_batch=10,
                                 rng=np.random.default_rng(3))
         # No traffic yet: nothing owed, nothing probed.
-        assert probes.poll() == []
-        assert server.stats.probes == 0
+        assert probes.poll() is None
+        assert (probes.batches, probes.traces) == (0, 0)
 
         traffic = simulator.generate_traffic(100, np.random.default_rng(4))
         server.predict(traffic.demod)
-        probes.poll()               # 100 traces * 0.1 = 10 owed -> 1 batch
-        assert server.stats.probes == 1
-        assert server.stats.probe_traces == 10
+        predicted, labels = probes.poll()    # 100 * 0.1 = 10 owed -> 1 batch
+        assert predicted.shape == labels.shape == (10, 2)
+        assert (probes.batches, probes.traces) == (1, 10)
         # The probe batch itself must not owe further probes.
-        assert probes.poll() == []
-        assert server.stats.probes == 1
+        assert probes.poll() is None
+        assert (probes.batches, probes.traces) == (1, 10)
         assert probes.owed_traces() < 10
         server.stop()
 
-    def test_routes_outcomes_to_per_shard_monitors(self):
+    def test_probe_counters(self):
+        # Probes are counted once, on the scheduler; the worker's stats
+        # report those counts and the server's stats carry none.
         simulator = make_simulator()
         server = make_server(simulator)
         probes = ProbeScheduler(server, simulator, duty_cycle=0.5,
                                 probe_batch=20,
                                 rng=np.random.default_rng(3))
+        worker = CalibrationWorker(
+            server, Recalibrator(server, calibration_shots_per_state=60),
+            simulator, probes=probes, score_monitoring=False)
+        for seed in (4, 5):    # 40 traces * 0.5 = 20 owed -> 1 batch each
+            traffic = simulator.generate_traffic(
+                40, np.random.default_rng(seed))
+            server.predict(traffic.demod)
+            worker.tick()
+        assert (probes.batches, probes.traces) == (2, 40)
+        assert (worker.stats.probe_batches, worker.stats.probe_traces) == (
+            2, 40)
+        snapshot = server.stats.snapshot()
+        assert "probes" not in snapshot and "probe_traces" not in snapshot
+        server.stop()
+
+    def test_routes_outcomes_to_per_shard_monitors(self):
+        # Probe outcomes reach the worker's per-shard fidelity monitors,
+        # each seeing its own shard's columns.
+        simulator = make_simulator()
+        server = make_server(simulator)
+        recalibrator = Recalibrator(server, calibration_shots_per_state=60)
+
+        def probed_worker(seed):
+            probes = ProbeScheduler(server, simulator, duty_cycle=0.5,
+                                    probe_batch=20,
+                                    rng=np.random.default_rng(seed))
+            return CalibrationWorker(server, recalibrator, simulator,
+                                     probes=probes, score_monitoring=False)
+
+        worker = probed_worker(3)
         traffic = simulator.generate_traffic(40, np.random.default_rng(4))
         server.predict(traffic.demod)
-        probes.poll()
+        worker.tick()
+        assert worker.stats.probe_batches == 1
         for shard_index in (0, 1):
-            assert probes.monitors[shard_index].n_observations == 20
+            monitor = worker.fidelity_monitors[shard_index]
+            assert monitor.n_observations == 20
+            assert monitor.baseline is None   # 20 < 2 * probe_batch
         # Enough evidence -> the first trusted estimate became baseline.
-        probes2 = ProbeScheduler(server, simulator, duty_cycle=0.5,
-                                 probe_batch=20,
-                                 rng=np.random.default_rng(5))
+        worker2 = probed_worker(5)
         for _ in range(4):
             traffic = simulator.generate_traffic(40,
                                                  np.random.default_rng(6))
             server.predict(traffic.demod)
-            probes2.poll()
+            worker2.tick()
         assert all(m.baseline is not None
-                   for m in probes2.monitors.values())
+                   for m in worker2.fidelity_monitors.values())
         server.stop()
 
     def test_validation(self):
@@ -91,17 +124,14 @@ class TestProbeScheduler:
             ProbeScheduler(server, simulator, probe_batch=0)
         with pytest.raises(ValueError, match="unknown design"):
             ProbeScheduler(server, simulator, design="mf-rmf-nn")
-        with pytest.raises(ValueError, match="cover every shard"):
-            ProbeScheduler(server, simulator,
-                           monitors={0: FidelityMonitor()})
         server.stop()
 
 
 class TestCalibrationWorkerLifecycle:
     def make_worker(self, server, simulator, **kwargs):
         recalibrator = Recalibrator(server, calibration_shots_per_state=60)
-        return CalibrationWorker(server, recalibrator, simulator,
-                                 poll_interval_s=0.005, **kwargs)
+        kwargs.setdefault("poll_interval_s", 0.005)
+        return CalibrationWorker(server, recalibrator, simulator, **kwargs)
 
     def test_start_stop_join(self):
         simulator = make_simulator()
@@ -140,25 +170,44 @@ class TestCalibrationWorkerLifecycle:
         with pytest.raises(ValueError, match="cooldown_s"):
             CalibrationWorker(server, recalibrator, simulator,
                               cooldown_s=-1)
+        with pytest.raises(ValueError, match="cover every shard"):
+            CalibrationWorker(server, recalibrator, simulator,
+                              fidelity_monitors={0: FidelityMonitor()})
         other.stop()
         server.stop()
 
     def test_cooldown_suppresses_but_counts(self):
-        # Deterministic single-tick driving: no thread, direct _tick calls.
+        # Deterministic single-tick driving: no thread, direct tick calls.
         simulator = make_simulator()
         server = make_server(simulator)
         worker = self.make_worker(server, simulator, cooldown_s=60.0,
                                   score_monitoring=False)
         worker._enqueue_alarm(0, dummy_alarm())
-        worker._tick()
+        worker.tick()
         assert worker.stats.refits == 1
         assert worker.stats.alarms_suppressed == 0
         # A second alarm inside the (long) cooldown is counted suppressed,
         # never silently dropped, and triggers no refit.
         worker._enqueue_alarm(0, dummy_alarm("second"))
-        worker._tick()
+        worker.tick()
         assert worker.stats.refits == 1
         assert worker.stats.alarms_suppressed == 1
+        server.stop()
+
+    def test_cooldown_counts_ticks_not_wall_clock(self):
+        # cooldown_s / poll_interval_s = 2 ticks: back-to-back ticks with
+        # an alarm each refit, suppress twice, then refit again — however
+        # little wall-clock time passes between them.
+        simulator = make_simulator()
+        server = make_server(simulator)
+        worker = self.make_worker(server, simulator, poll_interval_s=1.0,
+                                  cooldown_s=2.0, score_monitoring=False)
+        for tick in range(4):
+            worker._enqueue_alarm(0, dummy_alarm(f"tick {tick}"))
+            worker.tick()
+        assert worker.stats.refits == 2
+        assert worker.stats.alarms_suppressed == 2
+        assert [r.shard_index for r in worker.records] == [0, 0]
         server.stop()
 
     def test_suppressed_sticky_alarm_requeues_after_cooldown(self):
@@ -167,17 +216,16 @@ class TestCalibrationWorkerLifecycle:
         # the suppressed object forever and the shard is never repaired.
         simulator = make_simulator()
         server = make_server(simulator)
-        worker = self.make_worker(server, simulator, cooldown_s=60.0,
-                                  score_monitoring=False)
+        worker = self.make_worker(server, simulator, poll_interval_s=1.0,
+                                  cooldown_s=1.0, score_monitoring=False)
         worker._enqueue_alarm(0, dummy_alarm())
-        worker._tick()                       # refit; cooldown starts
+        worker.tick()                        # refit; one-tick cooldown
         sticky = dummy_alarm("sticky")
         worker._enqueue_alarm(0, sticky)
-        worker._tick()                       # suppressed
+        worker.tick()                        # suppressed
         worker._enqueue_alarm(0, sticky)     # the monitor re-reports it
         assert len(worker._alarms[0]) == 1   # must land in the queue again
-        worker._cooldown_until[0] = 0.0      # cooldown over
-        worker._tick()
+        worker.tick()                        # cooldown over
         assert worker.stats.refits == 2
         server.stop()
 

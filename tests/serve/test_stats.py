@@ -102,14 +102,6 @@ class TestBatchAccounting:
     def test_mean_batch_traces_empty(self):
         assert ServerStats().mean_batch_traces() == 0.0
 
-    def test_probe_counters(self):
-        stats = ServerStats()
-        stats.record_probe(16)
-        stats.record_probe(24)
-        snapshot = stats.snapshot()
-        assert snapshot["probes"] == 2
-        assert snapshot["probe_traces"] == 40
-
 
 class TestHotPathCounters:
     def test_slab_counts_are_read_from_the_pools(self):
